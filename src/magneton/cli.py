@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, diagnostics, magneton, quad, specfun, taylor
 from .errors import (
+    CapacityError,
     ConvergenceError,
     CrossCheckError,
     DomainError,
@@ -32,6 +31,9 @@ from .errors import (
 _GAMMA = specfun.EULER_GAMMA
 _LN_PI = specfun.LN_PI
 _JUMP_OFFSET = 1e-6
+# Most rows one rho list or figure grid may hold; counted before anything
+# is allocated, so a tiny step is refused instead of exhausting memory.
+_MAX_ROWS = 1_000_000
 _FIGURE_DEFAULTS = {
     # lo, hi, step
     "phi": (-2.0, 3.0, 0.01),
@@ -73,18 +75,15 @@ def _emit(out_path: str | None, lines: list[str]):
             fh.write(payload)
 
 
-def _worker_count(n_items: int) -> int:
-    env = os.environ.get("MAGNETON_THREADS")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise DomainError(f"MAGNETON_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise DomainError(f"MAGNETON_THREADS must be >= 1, got {cap}")
-    else:
-        cap = min(8, os.cpu_count() or 1)
-    return max(1, min(cap, n_items))
+def _grid_count(lo: float, hi: float, step: float) -> int:
+    """Number of points of the inclusive grid lo, lo + step, ... <= hi."""
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_ROWS:  # also refuses inf and nan
+        raise CapacityError(
+            f"grid {lo:g}..{hi:g} step {step:g} exceeds {_MAX_ROWS} rows "
+            "or is not finite"
+        )
+    return int(math.floor(span)) + 1
 
 
 def _parse_rho_spec(tokens: list[str]) -> list[float]:
@@ -98,8 +97,10 @@ def _parse_rho_spec(tokens: list[str]) -> list[float]:
             lo, hi, step = (float(p) for p in parts)
             if not (step > 0.0) or hi < lo:
                 raise DomainError(f"bad range {tok!r}: need lo <= hi, step > 0")
-            n = int(math.floor((hi - lo) / step + 1e-9))
-            out.extend(lo + i * step for i in range(n + 1))
+            n = _grid_count(lo, hi, step)
+            if len(out) + n > _MAX_ROWS:
+                raise CapacityError(f"rho list exceeds {_MAX_ROWS} rows")
+            out.extend(lo + i * step for i in range(n))
         else:
             out.append(float(tok))
     if not out:
@@ -128,8 +129,7 @@ def cmd_table(args) -> int:
 
     # all rows are computed before a single byte is written, so a failure
     # never leaves a truncated table behind
-    with ThreadPoolExecutor(max_workers=_worker_count(len(rhos))) as pool:
-        rows = list(pool.map(row, rhos))
+    rows = [row(rho) for rho in rhos]
     lines = _manifest(
         "table",
         {
@@ -147,8 +147,7 @@ def cmd_table(args) -> int:
 
 
 def _coarse_grid(lo: float, hi: float, step: float) -> list[float]:
-    n = int(math.floor((hi - lo) / step + 1e-9))
-    return [lo + i * step for i in range(n + 1)]
+    return [lo + i * step for i in range(_grid_count(lo, hi, step))]
 
 
 def _field_grid(coarse: list[float], lo: float, hi: float) -> list[float]:
@@ -324,7 +323,7 @@ def cmd_constants(args) -> int:
 
     lines = _manifest("constants", {}, mode)
     lines.append("name,analytic,numeric,discrepancy,tag")
-    worst = None
+    failures = []
     for name, analytic, numeric, tol, tag in entries:
         disc = numeric - analytic
         tagtxt = "rh-conditional" if tag else "unconditional"
@@ -332,11 +331,11 @@ def cmd_constants(args) -> int:
             f"{name},{_fmt(analytic)},{_fmt(numeric)},{_fmt(disc)},{tagtxt}"
         )
         if abs(disc) > tol:
-            worst = (name, disc, tol)
+            failures.append((abs(disc) / tol, name, disc, tol))
     magneton.jump_at_one()  # runs its own extrapolated cross-check
     _emit(args.out, lines)
-    if worst is not None:
-        name, disc, tol = worst
+    if failures:
+        _, name, disc, tol = max(failures)  # the worst by |disc| / tol
         raise CrossCheckError(
             f"{name}: discrepancy {disc:.3g} exceeds tolerance {tol:.3g}"
         )

@@ -1,18 +1,31 @@
 """Adaptive quadrature of ln|zeta(rho + it)| against the Lorentz measure
 dt/(1/4 + t^2).
 
+The rule is adaptive Simpson with a Richardson-corrected panel value, run
+level by level: each pass takes every open panel of one depth, evaluates
+the two new quarter points of all of them in one batched integrand call,
+then accepts or splits each panel against that depth's tolerance (the
+root tolerance halved once per level).  On the vertical line the batch goes
+through `specfun.log_abs_zeta_line`, which reproduces the scalar
+`log_abs_zeta` bit for bit, so the panel tree -- which panels split, the
+evaluation count, the depth reached -- is the one a depth-first recursion
+builds.  Panel values and errors are then summed in that recursion's
+order, so every result matches it to the last bit.
+
 The integrand is smooth except for integrable logarithmic dips where the
 vertical line passes a zeta zero (only possible inside the critical strip).
-Two measures keep the recursion finite there without a zero table:
+Two measures keep the refinement finite there without a zero table:
 
 * the raw log is clamped at ``singularity_floor`` before weighting, which
   bounds the integrand; the clamp perturbs the integral by less than
   exp(floor) times the affected width, far below every tolerance in use;
 * a panel that still cannot meet its halved tolerance once it is narrower
   than ``_MIN_WIDTH`` is closed out with its Richardson value and its local
-  estimate is added to the reported error instead of recursing forever.
+  estimate is added to the reported error instead of refining forever.
 
-Everything is deterministic: panels recurse and sum left to right.
+A panel that fails at ``max_depth``, or closes with a non-finite value,
+raises ConvergenceError.  When several fail, the leftmost is reported: the
+one a left-to-right recursion meets first.
 """
 
 from __future__ import annotations
@@ -20,6 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import specfun
 from .errors import ConvergenceError, DomainError
@@ -65,46 +80,72 @@ class PhiNumericResult(NamedTuple):
     max_depth_used: int
 
 
-class _Acc:
-    __slots__ = ("err", "evals", "depth")
-
-    def __init__(self):
-        self.err = 0.0
-        self.evals = 0
-        self.depth = 0
-
-
 def _simpson(fa, fm, fb, width):
     return width / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _panel(f, a, b, fa, fm, fb, tol, depth, cfg: QuadratureConfig, acc: _Acc) -> float:
-    m = 0.5 * (a + b)
-    flm = f(0.5 * (a + m))
-    frm = f(0.5 * (m + b))
-    acc.evals += 2
-    whole = _simpson(fa, fm, fb, b - a)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    split = left + right
-    err = abs(split - whole) / 15.0
-    if err <= tol or (b - a) < _MIN_WIDTH:
-        if not math.isfinite(split):
+@np.errstate(invalid="ignore", over="ignore")  # non-finite panels stay silent, as floats do
+def _integrate(
+    fv: Callable[[np.ndarray], np.ndarray], a: float, b: float, cfg: QuadratureConfig
+) -> QuadResult:
+    """Level-synchronous adaptive Simpson over [a, b]; `fv` maps an array of
+    abscissae to the array of integrand values."""
+    f_lo, f_mid, f_hi = (np.array([v]) for v in fv(np.array([a, 0.5 * (a + b), b])))
+    lo, hi = np.array([a]), np.array([b])
+    n_evals, depth, tol = 3, 0, cfg.abs_tol
+    levels: list[tuple[np.ndarray, np.ndarray]] = []  # (closed?, Richardson value)
+    closed_lo: list[np.ndarray] = []
+    closed_err: list[np.ndarray] = []
+    while True:
+        mid = 0.5 * (lo + hi)
+        f_new = fv(np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi))))
+        n_evals += f_new.size
+        f_l, f_r = f_new[: lo.size], f_new[lo.size :]
+        whole = _simpson(f_lo, f_mid, f_hi, hi - lo)
+        left = _simpson(f_lo, f_l, f_mid, mid - lo)
+        right = _simpson(f_mid, f_r, f_hi, hi - mid)
+        split = left + right
+        err = np.abs(split - whole) / 15.0
+        done = (err <= tol) | (hi - lo < _MIN_WIDTH)
+        levels.append((done, split + (split - whole) / 15.0))
+        closed_lo.append(lo[done])
+        closed_err.append(err[done])
+        fail = done & ~np.isfinite(split)
+        if depth >= cfg.max_depth:
+            fail |= ~done
+        if fail.any():
+            # all panels of a level share one width, so failures come on one
+            # level only (the depth limit, or the first below _MIN_WIDTH);
+            # its leftmost is the one a left-to-right recursion meets first
+            i = np.flatnonzero(fail)[np.argmin(lo[fail])]
+            panel = f"panel [{float(lo[i]):.6g}, {float(hi[i]):.6g}]"
+            if done[i]:
+                raise ConvergenceError(f"non-finite integrand on {panel}")
             raise ConvergenceError(
-                f"non-finite integrand on panel [{a:.6g}, {b:.6g}]"
+                f"{panel} not converged at depth limit "
+                f"{cfg.max_depth}: error {float(err[i]):.3g} > {tol:.3g}"
             )
-        acc.err += err
-        return split + (split - whole) / 15.0
-    if depth >= cfg.max_depth:
-        raise ConvergenceError(
-            f"panel [{a:.6g}, {b:.6g}] not converged at depth limit "
-            f"{cfg.max_depth}: error {err:.3g} > {tol:.3g}"
-        )
-    acc.depth = max(acc.depth, depth + 1)
-    half = tol / 2.0
-    out_l = _panel(f, a, m, fa, flm, fm, half, depth + 1, cfg, acc)
-    out_r = _panel(f, m, b, fm, frm, fb, half, depth + 1, cfg, acc)
-    return out_l + out_r
+        more = ~done
+        if not more.any():
+            break
+        depth += 1
+        tol /= 2.0
+        # children: [lo, mid] and [mid, hi] of every panel still open
+        lo, hi, f_lo, f_mid, f_hi = [
+            np.concatenate((x[more], y[more]))
+            for x, y in ((lo, mid), (mid, hi), (f_lo, f_mid), (f_l, f_r), (f_mid, f_hi))
+        ]
+    # sum in the order of a depth-first recursion, so that results match it
+    # to the last bit: bottom up, a split panel is its left plus its right
+    # child, and the closed panels' errors add up from left to right
+    below = None
+    for done, value in reversed(levels):
+        if below is not None:
+            half = below.size // 2
+            value[~done] = below[:half] + below[half:]
+        below = value
+    errors = np.concatenate(closed_err)[np.argsort(np.concatenate(closed_lo))]
+    return QuadResult(float(below[0]), float(np.cumsum(errors)[-1]), n_evals, depth)
 
 
 def integrate_adaptive(
@@ -118,13 +159,9 @@ def integrate_adaptive(
     cfg = config or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"bad interval [{a!r}, {b!r}]")
-    acc = _Acc()
-    fa = f(a)
-    fm = f(0.5 * (a + b))
-    fb = f(b)
-    acc.evals += 3
-    value = _panel(f, a, b, fa, fm, fb, cfg.abs_tol, 0, cfg, acc)
-    return QuadResult(value, acc.err, acc.evals, acc.depth)
+    return _integrate(
+        lambda x: np.array([f(v) for v in x.tolist()], dtype=np.float64), a, b, cfg
+    )
 
 
 def tail_uncertainty(rho: float, t_max: float, c: float = 2.0) -> float:
@@ -142,10 +179,9 @@ def phi_numeric_detailed(rho: float, config: QuadratureConfig | None = None) -> 
         raise DomainError(f"rho must be finite, got {rho!r}")
     floor = cfg.singularity_floor
 
-    def integrand(t: float) -> float:
-        raw = specfun.log_abs_zeta(complex(rho, t))
-        if raw < floor:  # also swallows the -inf underflow signal
-            raw = floor
+    def integrand(t: np.ndarray) -> np.ndarray:
+        raw = specfun.log_abs_zeta_line(rho, t)
+        raw[raw < floor] = floor  # also swallows the -inf underflow signal
         return raw / (0.25 + t * t)
 
     a = 0.0
@@ -155,7 +191,7 @@ def phi_numeric_detailed(rho: float, config: QuadratureConfig | None = None) -> 
         # so start just above 0 and add the sliver integral of -4 ln t
         a = 1e-12
         pole_patch = 4.0 * a * (1.0 - math.log(a))
-    res = integrate_adaptive(integrand, a, cfg.t_max, cfg)
+    res = _integrate(integrand, a, cfg.t_max, cfg)
     tail = tail_uncertainty(rho, cfg.t_max) if cfg.tail_mode == "log_bound" else None
     return PhiNumericResult(
         res.value + pole_patch, res.error_estimate, tail, res.n_evals, res.max_depth_used

@@ -95,6 +95,110 @@ def _reg_em(s: complex, want_deriv: bool):
     return reg, dreg
 
 
+# Rows of the n^-s table built per array pass in log_abs_zeta_line; caps
+# the temporary at 64 x 260 complex values (about 270 kB).
+_LINE_CHUNK = 64
+
+
+def _cmul(ar, ai, br, bi):
+    # complex product rounded as Python's complex type rounds it: four
+    # products and two sums (numpy's complex array product may fuse them)
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def log_abs_zeta_line(rho: float, t, floor: float = 1e-300) -> np.ndarray:
+    """ln|zeta(rho + it)| at every t of a 1-D array.
+
+    The Euler-Maclaurin sum of `_reg_em` (same truncation max(30,
+    ceil(1.3|t|)), same `_LOGN`, same `_B_OVER_FACT` corrections) run as
+    array passes.  Each complex step is spelled out in real arithmetic in
+    the order and rounding of the scalar path, and the n^-s terms of one
+    truncation length are summed as whole rows, so every value equals
+    `log_abs_zeta(complex(rho, t))` to the last bit.  Errors and the zero
+    signal are the scalar ones: PoleError at s = 1, WindowExceededError
+    beyond the window, and -inf where |zeta| < `floor`."""
+    rho = float(rho)
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim != 1:
+        raise DomainError(f"t must be a 1-D array, got shape {t.shape}")
+    if not (math.isfinite(rho) and np.isfinite(t).all()):
+        raise DomainError(f"non-finite argument on the line rho = {rho!r}")
+    if not t.size:
+        return np.empty(0)
+    if np.abs(t).max() > IM_WINDOW:
+        raise WindowExceededError(
+            f"|Im s| = {np.abs(t).max():g} exceeds the supported window {IM_WINDOW:g}"
+        )
+    if rho == 1.0 and (t == 0.0).any():
+        raise PoleError("zeta has its pole at s = 1")
+
+    n_trunc = np.maximum(30.0, np.ceil(1.3 * np.abs(t))).astype(np.intp)
+    s = np.empty(t.shape, dtype=np.complex128)
+    s.real = rho
+    s.imag = t
+
+    # base sum over n = 1 .. N-1, for rows of equal N at most _LINE_CHUNK at
+    # a time: numpy sums each row of a 2-D array exactly as it sums the same
+    # terms in 1-D (zero-padded rows of mixed N, or reduceat, would not)
+    order = np.argsort(n_trunc, kind="stable")
+    n_sorted = n_trunc[order]
+    starts = np.flatnonzero(np.diff(n_sorted, prepend=0)).tolist()
+    minus_s = -s
+    sums = []
+    for g0, g1 in zip(starts, [*starts[1:], t.size]):
+        logn = _LOGN[: n_sorted[g0] - 1]
+        for c0 in range(g0, g1, _LINE_CHUNK):
+            rows = order[c0 : min(c0 + _LINE_CHUNK, g1)]
+            sums.append(np.exp(minus_s[rows, None] * logn).sum(axis=1))
+    base = np.empty_like(s)
+    base[order] = np.concatenate(sums)
+
+    # N^-s and N^(1-s) through cmath.exp, as the scalar path computes them
+    n_big = n_trunc.astype(np.float64)
+    ln_big = _LOGN[n_trunc - 1]
+    arg = np.empty_like(s)
+    arg.imag = -t * ln_big
+    arg.real = -rho * ln_big
+    n_pow_ms = np.array(list(map(cmath.exp, arg.tolist())), dtype=np.complex128)
+    arg.real = (1.0 - rho) * ln_big
+    n_pow_1ms = np.array(list(map(cmath.exp, arg.tolist())), dtype=np.complex128)
+
+    # corrections, k = 1..7, accumulated in the scalar loop's order
+    corr_r = np.zeros_like(t)
+    corr_i = np.zeros_like(t)
+    poch_r = np.full_like(t, rho)
+    poch_i = t
+    npow_r = n_pow_ms.real / n_big
+    npow_i = n_pow_ms.imag / n_big
+    n_sq = n_big * n_big
+    for k, coef in enumerate(_B_OVER_FACT):
+        if k:
+            for j in (2 * k - 1, 2 * k):
+                poch_r, poch_i = _cmul(poch_r, poch_i, rho + j, t)
+            npow_r = npow_r / n_sq
+            npow_i = npow_i / n_sq
+        term_r, term_i = _cmul(coef * poch_r, coef * poch_i, npow_r, npow_i)
+        corr_r = corr_r + term_r
+        corr_i = corr_i + term_i
+
+    inner_r = base.real + n_pow_ms.real / 2.0 + corr_r
+    inner_i = base.imag + n_pow_ms.imag / 2.0 + corr_i
+    reg_r, reg_i = _cmul(rho - 1.0, t, inner_r, inner_i)
+    reg = np.empty_like(s)
+    reg.real = reg_r + n_pow_1ms.real
+    reg.imag = reg_i + n_pow_1ms.imag
+    # numpy's complex division and hypot are the ops of the scalar
+    # np.complex128 quotient and abs(); math.log is the scalar log (np.abs
+    # and np.log of arrays differ from them in the last bit)
+    zeta_val = reg / (s - 1.0)
+    az = np.hypot(zeta_val.real, zeta_val.imag)
+    zero_hit = az < floor
+    az[zero_hit] = 1.0
+    out = np.array(list(map(math.log, az.tolist())), dtype=np.float64)
+    out[zero_hit] = -math.inf
+    return out
+
+
 def zeta_reg(s) -> complex:
     """(s-1)*zeta(s), entire, equal to 1 at s = 1."""
     z = _as_complex(s)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from magneton import cli
+from magneton import cli, magneton
 
 GAMMA = 0.5772156649015328606065
 
@@ -109,19 +109,41 @@ def test_table_out_file(tmp_path, capsys):
     assert "rho,phi_numeric" in text
 
 
-def test_table_thread_invariance(monkeypatch, capsys):
-    monkeypatch.setenv("MAGNETON_THREADS", "3")
-    _, out3, _ = run(["table", "--rho", "0.8", "2", "--tol", "1e-6"], capsys)
-    monkeypatch.setenv("MAGNETON_THREADS", "1")
-    _, out1, _ = run(["table", "--rho", "0.8", "2", "--tol", "1e-6"], capsys)
-    assert drop_timestamp(out3) == drop_timestamp(out1)
+def test_table_payload_deterministic(capsys):
+    # one thread, fixed panel order: a rerun differs only in the timestamp
+    argv = ["table", "--rho", "0.8", "2", "0.5", "--tol", "1e-6"]
+    _, first, _ = run(argv, capsys)
+    _, second, _ = run(argv, capsys)
+    assert drop_timestamp(first) == drop_timestamp(second)
 
 
-def test_table_bad_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("MAGNETON_THREADS", "zero")
-    code, _, err = run(["table", "--rho", "2", "--tol", "1e-6"], capsys)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--rho", "0:1:0.01"],
+        ["table", "--rho", "0:0.3:0.01", "0.5:0.8:0.01"],
+        ["figure", "phi", "--step", "0.01"],
+        ["figure", "well", "--step", "0.001"],
+        ["figure", "phi", "--hi", "inf"],
+    ],
+)
+def test_grid_row_cap(monkeypatch, capsys, argv):
+    # the cap is lowered so that no large grid is ever built here
+    monkeypatch.setattr(cli, "_MAX_ROWS", 50)
+    code, out, err = run(argv, capsys)
     assert code == 2
-    assert "MAGNETON_THREADS" in err
+    assert out == ""
+    assert "exceeds 50 rows" in err
+
+
+@pytest.mark.parametrize("cap,code", [(11, 0), (10, 2)])
+def test_grid_row_cap_boundary(monkeypatch, capsys, cap, code):
+    # lo = 0, hi = 1, step = 0.1 is 11 rows: admitted at a cap of 11, not 10
+    monkeypatch.setattr(cli, "_MAX_ROWS", cap)
+    argv = ["figure", "phi", "--lo", "0", "--hi", "1", "--step", "0.1"]
+    got, out, _ = run(argv, capsys)
+    assert got == code
+    assert len(data_rows(out)) == (12 if code == 0 else 0)
 
 
 def test_figure_phi(capsys):
@@ -252,3 +274,20 @@ def test_unknown_command(capsys):
     with pytest.raises(SystemExit):
         cli.main(["nope"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "over_one,over_zero,named", [(5.0, 2.0, "jump_at_one"), (2.0, 5.0, "jump_at_zero")]
+)
+def test_constants_reports_worst_failure(monkeypatch, capsys, over_one, over_zero, named):
+    # both jump cross-checks fail (tolerance 1e-4); the message names the
+    # one with the larger discrepancy/tolerance ratio, wherever it is listed
+    one = 4.0 * math.pi
+    zero = math.pi * (-4.0 + GAMMA + 3.0 * math.log(2.0) + 0.5 * math.pi)
+    monkeypatch.setattr(magneton, "numeric_jump_at_one", lambda h=1e-7: one + 1e-4 * over_one)
+    monkeypatch.setattr(magneton, "numeric_jump_at_zero", lambda h=1e-7: zero + 1e-4 * over_zero)
+    monkeypatch.setattr(magneton, "jump_at_one", lambda: one)
+    code, out, err = run(["constants"], capsys)
+    assert code == 4
+    assert err.startswith(f"cross-check failure: {named}:")
+    assert "name,analytic,numeric" in out

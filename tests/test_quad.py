@@ -1,9 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
 from magneton import quad, specfun
-from magneton.errors import ConvergenceError, DomainError
+from magneton.errors import (
+    ConvergenceError,
+    DomainError,
+    PoleError,
+    WindowExceededError,
+)
 
 # Frozen half-line averages at t_max = 50, computed independently at 30
 # significant digits with the integration interval split at every zeta
@@ -81,6 +87,138 @@ def test_depth_budget_raises():
 def test_phi_numeric_frozen(rho):
     got = quad.phi_numeric(rho)
     assert abs(got - PHI_T50[rho]) < PHI_TOL[rho], (rho, got)
+
+
+# (n_evals, max_depth_used) at the default config: the panel tree is
+# deterministic, and these are the counts of the depth-first recursion the
+# level-by-level integrator replaced
+PHI_COUNTERS = {0.0: (1709, 13), 0.5: (8881, 26), 1.0: (3973, 26), 2.0: (1189, 13)}
+
+
+@pytest.mark.parametrize("rho", sorted(PHI_COUNTERS))
+def test_phi_numeric_counters(rho):
+    det = quad.phi_numeric_detailed(rho)
+    assert (det.n_evals, det.max_depth_used) == PHI_COUNTERS[rho]
+
+
+def _recursive_simpson(f, a, b, cfg):
+    """The depth-first adaptive Simpson that the level-by-level integrator
+    replaced, kept as the reference for its results: (value, error,
+    n_evals, max_depth_used)."""
+    acc = {"err": 0.0, "evals": 3, "depth": 0}
+
+    def simpson(fa, fm, fb, width):
+        return width / 6.0 * (fa + 4.0 * fm + fb)
+
+    def panel(a, b, fa, fm, fb, tol, depth):
+        m = 0.5 * (a + b)
+        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
+        acc["evals"] += 2
+        whole = simpson(fa, fm, fb, b - a)
+        split = simpson(fa, flm, fm, m - a) + simpson(fm, frm, fb, b - m)
+        err = abs(split - whole) / 15.0
+        if err <= tol or (b - a) < quad._MIN_WIDTH:
+            if not math.isfinite(split):
+                raise ConvergenceError(
+                    f"non-finite integrand on panel [{a:.6g}, {b:.6g}]"
+                )
+            acc["err"] += err
+            return split + (split - whole) / 15.0
+        if depth >= cfg.max_depth:
+            raise ConvergenceError(
+                f"panel [{a:.6g}, {b:.6g}] not converged at depth limit "
+                f"{cfg.max_depth}: error {err:.3g} > {tol:.3g}"
+            )
+        acc["depth"] = max(acc["depth"], depth + 1)
+        out_l = panel(a, m, fa, flm, fm, tol / 2.0, depth + 1)
+        return out_l + panel(m, b, fm, frm, fb, tol / 2.0, depth + 1)
+
+    value = panel(a, b, f(a), f(0.5 * (a + b)), f(b), cfg.abs_tol, 0)
+    return value, acc["err"], acc["evals"], acc["depth"]
+
+
+def _cusps(t):
+    return math.sqrt(abs(t - 0.3)) + math.sqrt(abs(t - 0.8))
+
+
+@pytest.mark.parametrize(
+    "f,a,b,kwargs",
+    [
+        (math.cos, -1.0, 1.0, {"abs_tol": 1e-12}),
+        (math.exp, 0.0, 1.0, {}),
+        (lambda t: t**3, 0.0, 1.0, {}),
+        (_cusps, 0.0, 1.0, {"abs_tol": 1e-12}),
+        (_cusps, 0.0, 1.0, {"abs_tol": 1e-30}),  # ends in _MIN_WIDTH close-outs
+        (lambda t: math.log(abs(t - 1.7)) / (1 + t * t), 0.0, 5.0, {"abs_tol": 1e-10}),
+    ],
+)
+def test_level_loop_matches_recursion(f, a, b, kwargs):
+    cfg = quad.QuadratureConfig(**kwargs)
+    got = quad.integrate_adaptive(f, a, b, cfg)
+    assert tuple(got) == _recursive_simpson(f, a, b, cfg)
+
+
+@pytest.mark.parametrize(
+    "f,kwargs",
+    [
+        (_cusps, {"abs_tol": 1e-14, "max_depth": 3}),  # several panels fail at once
+        (_cusps, {"abs_tol": 1e-14, "max_depth": 2}),
+        (lambda t: math.inf if t > 0.5 else 1.0, {}),
+        (lambda t: math.nan if 0.2 < t < 0.4 or t > 0.7 else t, {}),
+    ],
+)
+def test_failures_match_recursion(f, kwargs):
+    cfg = quad.QuadratureConfig(**kwargs)
+    with pytest.raises(ConvergenceError) as want:
+        _recursive_simpson(f, 0.0, 1.0, cfg)
+    with pytest.raises(ConvergenceError) as got:
+        quad.integrate_adaptive(f, 0.0, 1.0, cfg)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("rho", [0.5, 2.0])
+def test_phi_numeric_matches_recursion(rho):
+    # the scalar integrand under the recursive rule: the same panels and
+    # sums, so the same bits
+    cfg = quad.QuadratureConfig()
+
+    def integrand(t):
+        raw = max(specfun.log_abs_zeta(complex(rho, t)), cfg.singularity_floor)
+        return raw / (0.25 + t * t)
+
+    det = quad.phi_numeric_detailed(rho)
+    got = (det.value, det.error_estimate, det.n_evals, det.max_depth_used)
+    assert got == _recursive_simpson(integrand, 0.0, cfg.t_max, cfg)
+
+
+@pytest.mark.parametrize("rho", [-1.0, 0.0, 0.5, 1.0, 2.0])
+def test_line_kernel_matches_scalar(rng, rho):
+    t = [rng.uniform(-200.0, 200.0) for _ in range(150)]
+    t += [rng.uniform(0.0, 50.0) for _ in range(150)]
+    if rho == 0.5:  # on top of the first zero, |zeta| ~ 1e-7
+        t += [14.134725 + rng.uniform(-1e-6, 1e-6) for _ in range(40)]
+    if rho == 1.0:  # beside the pole
+        t += [1e-12 + rng.uniform(-5e-13, 5e-13) for _ in range(40)]
+    got = specfun.log_abs_zeta_line(rho, np.array(t))
+    want = np.array([specfun.log_abs_zeta(complex(rho, x)) for x in t])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_line_kernel_error_signals():
+    with pytest.raises(PoleError):
+        specfun.log_abs_zeta_line(1.0, np.array([3.0, 0.0]))
+    with pytest.raises(WindowExceededError):
+        specfun.log_abs_zeta_line(0.5, np.array([10.0, -200.5]))
+    with pytest.raises(DomainError):
+        specfun.log_abs_zeta_line(0.5, np.array([np.nan]))
+    assert specfun.log_abs_zeta_line(0.5, np.array([])).shape == (0,)
+    # a modulus below the floor is a zero hit and maps to -inf, as in the
+    # scalar path: the trivial zero at s = -2 and the first nontrivial one
+    for rho, t, floor in ((-2.0, 0.0, 1e-10), (0.5, 14.134725141734693, 1e-12)):
+        assert specfun.log_abs_zeta(complex(rho, t), floor) == -math.inf
+        got = specfun.log_abs_zeta_line(rho, np.array([t, t + 1.0]), floor)
+        assert got[0] == -math.inf and math.isfinite(got[1])
 
 
 def test_phi_numeric_left_of_strip():
