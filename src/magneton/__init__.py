@@ -12,84 +12,3 @@ holds the audit helpers (root finder, tail bounds, zero-count estimate).
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    CrossCheckError,
-    DomainError,
-    JumpPointError,
-    MagnetonError,
-    NoSolutionError,
-    PoleError,
-    RhModeError,
-    TruncationBudgetError,
-    WindowExceededError,
-)
-from .magneton import (
-    JUMP_POINTS,
-    PotentialSample,
-    RhMode,
-    field_E,
-    field_E_onesided,
-    jump_at_one,
-    jump_at_zero,
-    lambda_one,
-    numeric_jump_at_one,
-    numeric_jump_at_zero,
-    phi_closed,
-    sample_potential,
-    slope_at_half,
-    symmetry_defect,
-    volchkov_delta,
-    well_S,
-)
-from .quad import (
-    PhiNumericResult,
-    QuadratureConfig,
-    QuadResult,
-    integrate_adaptive,
-    lorentz_log_integral,
-    phi_numeric,
-    phi_numeric_detailed,
-    tail_uncertainty,
-)
-
-__all__ = [
-    "CapacityError",
-    "ConvergenceError",
-    "CrossCheckError",
-    "DomainError",
-    "JumpPointError",
-    "MagnetonError",
-    "NoSolutionError",
-    "PoleError",
-    "RhModeError",
-    "TruncationBudgetError",
-    "WindowExceededError",
-    "JUMP_POINTS",
-    "PotentialSample",
-    "RhMode",
-    "field_E",
-    "field_E_onesided",
-    "jump_at_one",
-    "jump_at_zero",
-    "lambda_one",
-    "numeric_jump_at_one",
-    "numeric_jump_at_zero",
-    "phi_closed",
-    "sample_potential",
-    "slope_at_half",
-    "symmetry_defect",
-    "volchkov_delta",
-    "well_S",
-    "PhiNumericResult",
-    "QuadratureConfig",
-    "QuadResult",
-    "integrate_adaptive",
-    "lorentz_log_integral",
-    "phi_numeric",
-    "phi_numeric_detailed",
-    "tail_uncertainty",
-    "__version__",
-]

@@ -5,8 +5,9 @@ prime-sum Taylor report.
 Output is UTF-8 comma-separated text with a '#'-prefixed manifest header
 (command, parameters, rh mode, version, timestamp).  Identical flags
 reproduce byte-identical payloads; only the timestamp line varies.  Exit
-codes: 0 success, 2 bad flags or domain/mode violations, 3 numeric
-non-convergence or truncation budget, 4 cross-check failure.
+codes: 0 success, 2 bad flags, domain/mode violations or a value beyond
+the double range, 3 numeric non-convergence or truncation budget, 4
+cross-check failure.
 """
 
 from __future__ import annotations
@@ -108,20 +109,16 @@ def _parse_rho_spec(tokens: list[str]) -> list[float]:
     return out
 
 
-def _quad_config(args) -> quad.QuadratureConfig:
-    return quad.QuadratureConfig(
-        t_max=args.t_max, abs_tol=args.tol, max_depth=args.max_depth
-    )
-
-
 def cmd_table(args) -> int:
     mode = _mode_from_flag(args.rh_mode)
     rhos = _parse_rho_spec(args.rho)
-    cfg = _quad_config(args)
+    cfg = quad.QuadratureConfig(
+        t_max=args.t_max, abs_tol=args.tol, max_depth=args.max_depth
+    )
 
     def row(rho: float) -> str:
         closed = magneton.phi_closed(rho, mode)
-        numeric = quad.phi_numeric(rho, cfg)
+        numeric = quad.phi_numeric(rho, cfg).value
         f_val = magneton.symmetry_defect(rho)
         return ",".join(
             _fmt(v) for v in (rho, numeric, closed, abs(numeric - closed), f_val)
@@ -258,11 +255,6 @@ def cmd_figure(args) -> int:
     return 0
 
 
-def _richardson(sample, h: float = 1e-5):
-    # sample(h) with O(h) error; paired evaluation kills the linear term
-    return 2.0 * sample(0.5 * h) - sample(h)
-
-
 def cmd_constants(args) -> int:
     mode = _mode_from_flag(args.rh_mode)
     if mode is not magneton.RhMode.CONDITIONAL_RH:
@@ -304,15 +296,15 @@ def cmd_constants(args) -> int:
         (
             "volchkov_delta",
             math.pi * (3.0 - _GAMMA),
-            _richardson(volchkov_fd),
+            magneton.richardson(volchkov_fd),
             1e-6,
             "strip",
         ),
-        ("slope_at_half", magneton.slope_at_half(), _richardson(slope_fd), 1e-6, "strip"),
+        ("slope_at_half", magneton.slope_at_half(), magneton.richardson(slope_fd), 1e-6, "strip"),
         (
             "field_half_plus",
             math.pi * (1.0 + _GAMMA),
-            _richardson(lambda h: magneton.field_E(0.5 + h)),
+            magneton.richardson(lambda h: magneton.field_E(0.5 + h)),
             1e-6,
             "strip",
         ),
@@ -463,4 +455,7 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: numeric overflow ({exc})", file=sys.stderr)
         return 2

@@ -35,21 +35,15 @@ class OffLineZero:
             raise DomainError(f"need t0 > 0, got t0 = {self.t0!r}")
 
 
-def offline_zero_correction(z: OffLineZero, x: float, alt_reading: bool = False) -> float:
+def offline_zero_correction(z: OffLineZero, x: float) -> float:
     """First-order potential perturbation near x = 1 from the zero z:
-    2(a - 1/2)/t0^2 - 2(x - 1)/t0^2.
-
-    alt_reading swaps the first term for 2*a^(-1/2)/t0^2, a rival
-    transcription of the same source formula kept only for comparison;
-    the default reading is the one that vanishes as a -> 1/2, as an
-    on-line zero must.
-    """
+    2(a - 1/2)/t0^2 - 2(x - 1)/t0^2.  The first term vanishes as a -> 1/2,
+    as it must for an on-line zero."""
     x = float(x)
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
     inv_t2 = 1.0 / (z.t0 * z.t0)
-    first = 2.0 / math.sqrt(z.a) if alt_reading else 2.0 * (z.a - 0.5)
-    return first * inv_t2 - 2.0 * (x - 1.0) * inv_t2
+    return 2.0 * (z.a - 0.5) * inv_t2 - 2.0 * (x - 1.0) * inv_t2
 
 
 def tail_bound(t0: float, c: float) -> float:

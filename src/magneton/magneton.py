@@ -19,10 +19,9 @@ combination of one-sided limits equals pi*(3 - gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from . import quad, specfun
+from . import specfun
 from .errors import CrossCheckError, DomainError, JumpPointError, RhModeError
 
 _GAMMA = specfun.EULER_GAMMA
@@ -35,18 +34,6 @@ JUMP_POINTS = (0.0, 0.5, 1.0)
 class RhMode(Enum):
     CONDITIONAL_RH = "conditional_rh"
     OUTSIDE_STRIP_ONLY = "outside_strip_only"
-
-
-@dataclass(frozen=True)
-class PotentialSample:
-    """One evaluation point; optional slots stay None unless requested."""
-
-    rho: float
-    phi_closed: float
-    symmetry_f: float
-    phi_numeric: float | None = None
-    field_E: float | None = None
-    well_S: float | None = None
 
 
 def _check_finite(rho: float) -> float:
@@ -199,6 +186,12 @@ def field_E_onesided(point, side: str, mode: RhMode = RhMode.CONDITIONAL_RH) -> 
     return PI * (_LN_PI - zl32 - psi_plus + 0.5 * specfun.digamma(0.25))
 
 
+def richardson(sample, h: float = 1e-5) -> float:
+    """Richardson step for a one-sided quantity sample(h) with O(h) error:
+    2*sample(h/2) - sample(h) kills the linear term."""
+    return 2.0 * sample(0.5 * h) - sample(h)
+
+
 def numeric_jump_at_one(h: float = 1e-7) -> float:
     """field_E just left of 1 minus just right of 1; tends to 4*pi as h -> 0."""
     if not (0.0 < h < 0.25):
@@ -211,9 +204,7 @@ def jump_at_one() -> float:
     re-verifies the closed value against a Richardson-extrapolated pair of
     one-sided field differences."""
     closed = 4.0 * PI
-    d1 = numeric_jump_at_one(1e-5)
-    d2 = numeric_jump_at_one(5e-6)
-    extrapolated = 2.0 * d2 - d1  # kills the O(h) term
+    extrapolated = richardson(numeric_jump_at_one)
     if abs(extrapolated - closed) > 1e-6:
         raise CrossCheckError(
             f"one-sided field limits give {extrapolated!r}, expected 4*pi"
@@ -233,9 +224,7 @@ def jump_at_zero() -> float:
     about 0.714566.  Orientation is phi'(0+) - phi'(0-), fixed by matching
     the numeric one-sided limits.  Verified on every call."""
     closed = PI * (-4.0 + _GAMMA + 3.0 * math.log(2.0) + 0.5 * PI)
-    d1 = numeric_jump_at_zero(1e-5)
-    d2 = numeric_jump_at_zero(5e-6)
-    extrapolated = 2.0 * d2 - d1
+    extrapolated = richardson(numeric_jump_at_zero)
     if abs(extrapolated - closed) > 1e-4:
         raise CrossCheckError(
             f"one-sided field limits give {extrapolated!r}, expected {closed!r}"
@@ -278,30 +267,3 @@ def well_S(x, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
     rho = x - 0.5
     return 0.5 * (phi_closed(rho, mode) + phi_closed(1.0 - rho, mode))
 
-
-def sample_potential(
-    rho,
-    mode: RhMode = RhMode.CONDITIONAL_RH,
-    config: "quad.QuadratureConfig | None" = None,
-    want_numeric: bool = False,
-    want_field: bool = False,
-    want_well: bool = False,
-) -> PotentialSample:
-    """Bundle the requested quantities at one point.  field_E is left None
-    at the jump points rather than raising."""
-    rho = _check_finite(rho)
-    closed = phi_closed(rho, mode)
-    f_val = symmetry_defect(rho)
-    numeric = quad.phi_numeric(rho, config) if want_numeric else None
-    field = None
-    if want_field and rho not in JUMP_POINTS:
-        field = field_E(rho, mode)
-    well = well_S(rho + 0.5, mode) if want_well else None
-    return PotentialSample(
-        rho=rho,
-        phi_closed=closed,
-        symmetry_f=f_val,
-        phi_numeric=numeric,
-        field_E=field,
-        well_S=well,
-    )

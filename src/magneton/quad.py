@@ -16,16 +16,20 @@ The integrand is smooth except for integrable logarithmic dips where the
 vertical line passes a zeta zero (only possible inside the critical strip).
 Two measures keep the refinement finite there without a zero table:
 
-* the raw log is clamped at ``singularity_floor`` before weighting, which
-  bounds the integrand; the clamp perturbs the integral by less than
-  exp(floor) times the affected width, far below every tolerance in use;
+* the raw log is clamped at ``_LOG_FLOOR`` before weighting, which bounds
+  the integrand and swallows the -inf zero-hit signal of the kernel; the
+  clamp perturbs the integral by less than exp(_LOG_FLOOR) times the
+  affected width, far below every tolerance in use;
 * a panel that still cannot meet its halved tolerance once it is narrower
   than ``_MIN_WIDTH`` is closed out with its Richardson value and its local
   estimate is added to the reported error instead of refining forever.
 
 A panel that fails at ``max_depth``, or closes with a non-finite value,
 raises ConvergenceError.  When several fail, the leftmost is reported: the
-one a left-to-right recursion meets first.
+one a left-to-right recursion meets first.  A level of more than
+``_MAX_PANELS`` finite open panels raises it too: an unreachable tolerance
+would keep millions of them open down to ``_MIN_WIDTH`` and exhaust memory
+(the widest level of rho = 1/2 at tolerance 1e-14 holds 12,044).
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from . import specfun
 from .errors import ConvergenceError, DomainError
 
 _MIN_WIDTH = 1e-6
+_MAX_PANELS = 2**16
+_LOG_FLOOR = -30.0
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,6 @@ class QuadratureConfig:
     t_max: float = 50.0
     abs_tol: float = 1e-8
     max_depth: int = 40
-    singularity_floor: float = -30.0
-    tail_mode: str = "none"  # none | log_bound
 
     def __post_init__(self):
         if not (self.t_max > 0.0):
@@ -61,21 +65,11 @@ class QuadratureConfig:
             raise DomainError("abs_tol must be positive")
         if self.max_depth < 1:
             raise DomainError("max_depth must be >= 1")
-        if self.tail_mode not in ("none", "log_bound"):
-            raise DomainError(f"unknown tail_mode {self.tail_mode!r}")
 
 
 class QuadResult(NamedTuple):
     value: float
     error_estimate: float
-    n_evals: int
-    max_depth_used: int
-
-
-class PhiNumericResult(NamedTuple):
-    value: float
-    error_estimate: float
-    tail_estimate: float | None
     n_evals: int
     max_depth_used: int
 
@@ -128,6 +122,14 @@ def _integrate(
         more = ~done
         if not more.any():
             break
+        # a panel holding a non-finite value cannot converge and ends the
+        # run at _MIN_WIDTH or max_depth as above, so it is not counted
+        n_open = 2 * np.count_nonzero(more & np.isfinite(split))
+        if n_open > _MAX_PANELS:
+            raise ConvergenceError(
+                f"{n_open} panels open at depth {depth + 1}, above the cap "
+                f"{_MAX_PANELS}: tolerance {cfg.abs_tol:.3g} is out of reach"
+            )
         depth += 1
         tol /= 2.0
         # children: [lo, mid] and [mid, hi] of every panel still open
@@ -172,36 +174,26 @@ def tail_uncertainty(rho: float, t_max: float, c: float = 2.0) -> float:
     return c * lorentz_mass + log_part
 
 
-def phi_numeric_detailed(rho: float, config: QuadratureConfig | None = None) -> PhiNumericResult:
+def phi_numeric(rho: float, config: QuadratureConfig | None = None) -> QuadResult:
+    """(1/2) * integral over [-T, T] of ln|zeta(rho+it)| dt/(1/4+t^2),
+    realized as the half-line integral [0, T] by evenness in t."""
     cfg = config or QuadratureConfig()
     rho = float(rho)
     if not math.isfinite(rho):
         raise DomainError(f"rho must be finite, got {rho!r}")
-    floor = cfg.singularity_floor
 
     def integrand(t: np.ndarray) -> np.ndarray:
         raw = specfun.log_abs_zeta_line(rho, t)
-        raw[raw < floor] = floor  # also swallows the -inf underflow signal
+        raw[raw < _LOG_FLOOR] = _LOG_FLOOR
         return raw / (0.25 + t * t)
 
-    a = 0.0
-    pole_patch = 0.0
-    if rho == 1.0:
-        # the line through the zeta pole: ln|zeta(1+it)| = -ln|t| + O(t^2),
-        # so start just above 0 and add the sliver integral of -4 ln t
-        a = 1e-12
-        pole_patch = 4.0 * a * (1.0 - math.log(a))
+    if rho != 1.0:
+        return _integrate(integrand, 0.0, cfg.t_max, cfg)
+    # the line through the zeta pole: ln|zeta(1+it)| = -ln|t| + O(t^2),
+    # so start just above 0 and add the sliver integral of -4 ln t
+    a = 1e-12
     res = _integrate(integrand, a, cfg.t_max, cfg)
-    tail = tail_uncertainty(rho, cfg.t_max) if cfg.tail_mode == "log_bound" else None
-    return PhiNumericResult(
-        res.value + pole_patch, res.error_estimate, tail, res.n_evals, res.max_depth_used
-    )
-
-
-def phi_numeric(rho: float, config: QuadratureConfig | None = None) -> float:
-    """(1/2) * integral over [-T, T] of ln|zeta(rho+it)| dt/(1/4+t^2),
-    realized as the half-line integral [0, T] by evenness in t."""
-    return phi_numeric_detailed(rho, config).value
+    return res._replace(value=res.value + 4.0 * a * (1.0 - math.log(a)))
 
 
 def lorentz_log_integral(alpha: float, beta: float, mu: float) -> float:

@@ -2,17 +2,17 @@
 the completed xi function, and prime machinery.
 
 Everything is self-contained double precision.  zeta is an Euler-Maclaurin
-sum whose truncation length grows with |Im s|; it is accurate to about 1e-12
-for |Im s| <= 200, which is the supported window.  The entire function
-(s-1)*zeta(s) is exposed separately because every closed form downstream
-needs it in a shape that stays finite and positive through s = 1.
+sum whose truncation length grows with |Im s|.  The supported window is
+|Im s| <= 200, Re s >= -3: ln|zeta| is good to about 1e-12 for Re s >= -1
+and 1e-8 at Re s = -3; further left the sum cancels catastrophically.
+The entire function (s-1)*zeta(s) is exposed separately because every
+closed form downstream needs it finite and positive through s = 1.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import CapacityError, DomainError, PoleError, WindowExceededError
 EULER_GAMMA = 0.5772156649015328606065
 LN_PI = math.log(math.pi)
 IM_WINDOW = 200.0
+RE_MIN = -3.0
 
 # Bernoulli numbers B_2..B_14; seven correction terms bound the
 # Euler-Maclaurin remainder below 1e-12 everywhere in the window.
@@ -48,11 +49,17 @@ def _as_complex(s) -> complex:
     return z
 
 
-def _check_window(z: complex):
+def _in_window(s) -> complex:
+    z = _as_complex(s)
+    if z.real < RE_MIN:
+        raise WindowExceededError(
+            f"Re s = {z.real:g} lies left of the supported window Re s >= {RE_MIN:g}"
+        )
     if abs(z.imag) > IM_WINDOW:
         raise WindowExceededError(
             f"|Im s| = {abs(z.imag):g} exceeds the supported window {IM_WINDOW:g}"
         )
+    return z
 
 
 def _reg_em(s: complex, want_deriv: bool):
@@ -116,7 +123,7 @@ def log_abs_zeta_line(rho: float, t, floor: float = 1e-300) -> np.ndarray:
     truncation length are summed as whole rows, so every value equals
     `log_abs_zeta(complex(rho, t))` to the last bit.  Errors and the zero
     signal are the scalar ones: PoleError at s = 1, WindowExceededError
-    beyond the window, and -inf where |zeta| < `floor`."""
+    outside the window, and -inf where |zeta| < `floor`."""
     rho = float(rho)
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 1:
@@ -125,10 +132,7 @@ def log_abs_zeta_line(rho: float, t, floor: float = 1e-300) -> np.ndarray:
         raise DomainError(f"non-finite argument on the line rho = {rho!r}")
     if not t.size:
         return np.empty(0)
-    if np.abs(t).max() > IM_WINDOW:
-        raise WindowExceededError(
-            f"|Im s| = {np.abs(t).max():g} exceeds the supported window {IM_WINDOW:g}"
-        )
+    _in_window(complex(rho, np.abs(t).max()))
     if rho == 1.0 and (t == 0.0).any():
         raise PoleError("zeta has its pole at s = 1")
 
@@ -201,17 +205,13 @@ def log_abs_zeta_line(rho: float, t, floor: float = 1e-300) -> np.ndarray:
 
 def zeta_reg(s) -> complex:
     """(s-1)*zeta(s), entire, equal to 1 at s = 1."""
-    z = _as_complex(s)
-    _check_window(z)
-    reg, _ = _reg_em(z, False)
-    return reg
+    return _reg_em(_in_window(s), False)[0]
 
 
 def zeta(s) -> complex:
-    z = _as_complex(s)
+    z = _in_window(s)
     if z == 1.0:
         raise PoleError("zeta has its pole at s = 1")
-    _check_window(z)
     reg, _ = _reg_em(z, False)
     return reg / (z - 1.0)
 
@@ -219,29 +219,25 @@ def zeta(s) -> complex:
 def zeta_logderiv(s) -> complex:
     """zeta'(s)/zeta(s), via termwise differentiation of the summation
     (no finite differences)."""
-    z = _as_complex(s)
+    z = _in_window(s)
     if z == 1.0:
         raise PoleError("zeta'/zeta has a pole at s = 1")
-    _check_window(z)
     reg, dreg = _reg_em(z, True)
     return dreg / reg - 1.0 / (z - 1.0)
 
 
 def reg_logderiv(s) -> complex:
     """d/ds ln((s-1)*zeta(s)); finite through s = 1, value gamma there."""
-    z = _as_complex(s)
-    _check_window(z)
-    reg, dreg = _reg_em(z, True)
+    reg, dreg = _reg_em(_in_window(s), True)
     return dreg / reg
 
 
 def log_abs_zeta(s, floor: float = 1e-300) -> float:
     """ln|zeta(s)|.  A modulus below `floor` signals a zero hit and maps to
     -inf rather than raising; the quadrature layer treats that as a spike."""
-    z = _as_complex(s)
+    z = _in_window(s)
     if z == 1.0:
         raise PoleError("zeta has its pole at s = 1")
-    _check_window(z)
     reg, _ = _reg_em(z, False)
     az = abs(reg / (z - 1.0))
     if az < floor:
@@ -335,13 +331,17 @@ def xi(s) -> complex:
     """Completed zeta pi^(-s/2) * s*(s-1) * Gamma(s/2) * zeta(s), in the
     normalization with xi(0) = xi(1) = 1.  Computed through the entire
     product 2 * pi^(-s/2) * Gamma(s/2 + 1) * (s-1)*zeta(s), so the removable
-    points s = 0, 1 need no special casing.  The trivial-zero points
-    s = -2, -4, ... hit the Gamma pole of this factorization and raise."""
-    z = _as_complex(s)
-    _check_window(z)
+    points s = 0, 1 need no special casing.  The trivial zero s = -2 hits
+    the Gamma pole of this factorization and raises PoleError; the others
+    lie outside the window.  Values beyond the double range (real s from
+    about 433 on) raise OverflowError."""
+    z = _in_window(s)
     reg = zeta_reg(z)
     lg = log_gamma(z / 2.0 + 1.0)
-    return 2.0 * cmath.exp(-z / 2.0 * LN_PI + lg) * reg
+    out = 2.0 * cmath.exp(-z / 2.0 * LN_PI + lg) * reg
+    if not cmath.isfinite(out):
+        raise OverflowError(f"|xi({z:g})| exceeds the double range")
+    return out
 
 
 class PrimeTable:
@@ -433,44 +433,9 @@ def prime_tail_estimate(n: int, y: float, limit: float) -> float:
     return upper_gamma_int(n, z) / (y - 1.0) ** n
 
 
-class PrimeLogZeta(NamedTuple):
-    value: float
-    raw: float
-    tail_estimate: float
-    bound: float
-
-
 # Relative slack on the integral-test tail estimate.  The estimate rides the
 # smooth prime density; the residual it cannot see is the prime-count
 # fluctuation, measured at a few 1e-4 of the tail across limits 1e6..1e7 in
 # calibration runs, so 5e-4 covers it with margin.
 TAIL_FLUCTUATION_REL = 5e-4
 
-
-def log_zeta_primes_detailed(x: float, table: PrimeTable, k_max: int = 60) -> PrimeLogZeta:
-    if not x > 1.0:
-        raise DomainError(f"prime series for ln zeta diverges at x = {x!r}")
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
-    w = table.primes.astype(np.float64) ** (-x)
-    wk = w
-    parts = []
-    for k in range(1, k_max + 1):
-        if k > 1:
-            wk = wk * w
-        parts.append(float(wk.sum()) / k)
-    raw = math.fsum(parts)
-    # missing prime-power tail beyond the table, k = 1..3 (higher k is dust)
-    tail = math.fsum(
-        exp_integral_e1((k * x - 1.0) * math.log(table.limit)) / k for k in (1, 2, 3)
-    )
-    kcut = 3.0 * 2.0 ** (-(k_max + 1) * x) / (k_max + 1)
-    bound = TAIL_FLUCTUATION_REL * tail + kcut
-    return PrimeLogZeta(raw + tail, raw, tail, bound)
-
-
-def log_zeta_primes(x: float, table: PrimeTable, k_max: int = 60) -> float:
-    """ln zeta(x) from the prime-power series over `table`, truncated at
-    k_max powers, with the smooth integral-test tail added back.  The
-    uncertainty of that correction is available from the detailed variant."""
-    return log_zeta_primes_detailed(x, table, k_max).value

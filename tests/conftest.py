@@ -18,8 +18,3 @@ def primes_1e6():
 @pytest.fixture(scope="session")
 def primes_2e6():
     return specfun.sieve_primes(2 * 10**6)
-
-
-@pytest.fixture(scope="session")
-def primes_1e7():
-    return specfun.sieve_primes(10**7)

@@ -100,7 +100,7 @@ def test_criterion_3_numeric_vs_closed():
     cfg = quad.QuadratureConfig()
     t0 = time.perf_counter()
     gaps = {
-        rho: abs(quad.phi_numeric(rho, cfg) - magneton.phi_closed(rho))
+        rho: abs(quad.phi_numeric(rho, cfg).value - magneton.phi_closed(rho))
         for rho in tol
     }
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from magneton import cli, magneton
+from magneton import cli, magneton, quad
 
 GAMMA = 0.5772156649015328606065
 
@@ -96,6 +96,43 @@ def test_table_depth_budget(capsys):
     code, _, err = run(["table", "--rho", "0.5", "--max-depth", "4"], capsys)
     assert code == 3
     assert "not converged" in err
+
+
+def test_table_panel_cap(monkeypatch, capsys):
+    monkeypatch.setattr(quad, "_MAX_PANELS", 64)
+    code, out, err = run(["table", "--rho", "2", "--tol", "1e-10"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "above the cap 64" in err and "depth" in err and "1e-10" in err
+
+
+def test_table_unreachable_tolerance_stops():
+    # without the panel cap every panel stays open down to the minimum
+    # width, millions of them, until memory runs out
+    proc = run_module("table", "--rho", "2", "--tol", "1e-17")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert "tolerance 1e-17" in proc.stderr
+
+
+@pytest.mark.parametrize("rho", ["-5", "-200"])
+def test_table_left_of_window(capsys, rho):
+    code, out, err = run(["table", "--rho", rho], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "left of the supported window" in err
+
+
+@pytest.mark.parametrize("hi", ["434", "602"])
+def test_figure_overflow_exit_code(capsys, hi):
+    # |xi(x)| leaves the double range at x = 433; from x = 436 on the
+    # exponential factor alone overflows
+    lo = str(2 - int(hi))
+    code, out, err = run(["figure", "xi", "--lo", lo, "--hi", hi, "--step", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: numeric overflow")
 
 
 def test_table_out_file(tmp_path, capsys):

@@ -35,9 +35,6 @@ def test_offline_zero_correction_formula():
     got = diagnostics.offline_zero_correction(z, 1.2)
     want = 2.0 * 0.25 / 1e4 - 2.0 * 0.2 / 1e4
     assert abs(got - want) < 1e-18
-    alt = diagnostics.offline_zero_correction(z, 1.2, alt_reading=True)
-    want_alt = 2.0 / math.sqrt(0.75) / 1e4 - 2.0 * 0.2 / 1e4
-    assert abs(alt - want_alt) < 1e-18
 
 
 def test_offline_zero_correction_vanishes_on_line():
