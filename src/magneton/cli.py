@@ -30,7 +30,6 @@ from .errors import (
 )
 
 _GAMMA = specfun.EULER_GAMMA
-_LN_PI = specfun.LN_PI
 _JUMP_OFFSET = 1e-6
 # Most rows one rho list or figure grid may hold; counted before anything
 # is allocated, so a tiny step is refused instead of exhausting memory.

@@ -42,9 +42,5 @@ class ConvergenceError(MagnetonError):
     """Iteration or refinement budget exhausted before reaching tolerance."""
 
 
-class NoSolutionError(MagnetonError):
-    """Root requested outside the attainable range of the target function."""
-
-
 class CrossCheckError(MagnetonError):
     """Analytic value and independent numeric route disagree beyond tolerance."""

@@ -166,14 +166,6 @@ def integrate_adaptive(
     )
 
 
-def tail_uncertainty(rho: float, t_max: float, c: float = 2.0) -> float:
-    """Reported (never added) bound on the discarded tail, from
-    ln|zeta| <= c + ln|s| above the truncation height."""
-    lorentz_mass = math.pi - 2.0 * math.atan(2.0 * t_max)
-    log_part = (math.log(math.hypot(rho, t_max)) + 1.0 + 0.5 * math.log(2.0)) / t_max
-    return c * lorentz_mass + log_part
-
-
 def phi_numeric(rho: float, config: QuadratureConfig | None = None) -> QuadResult:
     """(1/2) * integral over [-T, T] of ln|zeta(rho+it)| dt/(1/4+t^2),
     realized as the half-line integral [0, T] by evenness in t."""

@@ -22,6 +22,7 @@ EULER_GAMMA = 0.5772156649015328606065
 LN_PI = math.log(math.pi)
 IM_WINDOW = 200.0
 RE_MIN = -3.0
+_SIEVE_BUDGET = 2**30  # bytes of sieve flags one request may allocate
 
 # Bernoulli numbers B_2..B_14; seven correction terms bound the
 # Euler-Maclaurin remainder below 1e-12 everywhere in the window.
@@ -336,7 +337,8 @@ def xi(s) -> complex:
     lie outside the window.  Values beyond the double range (real s from
     about 433 on) raise OverflowError."""
     z = _in_window(s)
-    reg = zeta_reg(z)
+    # a Python complex, so an overflowing product is inf with no numpy warning
+    reg = complex(zeta_reg(z))
     lg = log_gamma(z / 2.0 + 1.0)
     out = 2.0 * cmath.exp(-z / 2.0 * LN_PI + lg) * reg
     if not cmath.isfinite(out):
@@ -362,14 +364,14 @@ class PrimeTable:
         return f"PrimeTable(limit={self.limit}, count={len(self)})"
 
 
-def sieve_primes(limit: int, memory_budget: int = 2**30) -> PrimeTable:
+def sieve_primes(limit: int) -> PrimeTable:
     """Eratosthenes sieve.  The flag array costs about `limit` bytes; a
-    request beyond `memory_budget` raises instead of thrashing."""
+    request beyond _SIEVE_BUDGET bytes raises instead of thrashing."""
     if not isinstance(limit, (int, np.integer)) or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
-    if limit + 1 > memory_budget:
+    if limit + 1 > _SIEVE_BUDGET:
         raise CapacityError(
-            f"sieve to {limit} needs ~{limit + 1} bytes, budget is {memory_budget}"
+            f"sieve to {limit} needs ~{limit + 1} bytes, budget is {_SIEVE_BUDGET}"
         )
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False

@@ -24,16 +24,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import diagnostics, magneton, specfun
-from .errors import DomainError, NoSolutionError, TruncationBudgetError
+from . import specfun
+from .errors import DomainError, TruncationBudgetError
 
 _LN_PI = specfun.LN_PI
-_GAMMA = specfun.EULER_GAMMA
-CENTER = 1.5
-# conservative warning radius: sums beyond it are flagged, not refused.
-# (the nearest zeros of xi sit at distance sqrt(1 + t1^2) ~ 14.2 from the
-# center, so the flag fires well before convergence actually degrades)
-RADIUS = 0.5
+_DPS = 40  # working precision of the exact route
 DEFAULT_ORDER = 13
 DEFAULT_PRIME_LIMIT = 10**6
 DEFAULT_K_MAX = 60
@@ -55,22 +50,6 @@ class Rearranged(NamedTuple):
     value: float
     slope: float
     curvature: float
-
-
-class LiComparison(NamedTuple):
-    estimate: float
-    exact: float
-    gap: float
-
-
-class ReconstructionResult(NamedTuple):
-    value: float
-    radius_warning: bool
-
-
-class PartnerResult(NamedTuple):
-    root: float
-    approx: float
 
 
 def _analytic_part(n: int) -> float:
@@ -197,7 +176,7 @@ def _coefficients_mp(order: int, mp):
     return out
 
 
-def compute_coefficients_exact(order: int, dps: int = 40) -> TaylorCoefficients:
+def compute_coefficients_exact(order: int) -> TaylorCoefficients:
     """Reference route: the same coefficients from high-precision zeta
     derivatives (no prime truncation).  Used as the cross-check oracle for
     the prime route and for the deep-cancellation sums the prime route
@@ -206,7 +185,7 @@ def compute_coefficients_exact(order: int, dps: int = 40) -> TaylorCoefficients:
         raise DomainError(f"order must be >= 0, got {order!r}")
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(_DPS):
         c = [float(v) for v in _coefficients_mp(order, mp)]
     return TaylorCoefficients(
         order=order,
@@ -241,9 +220,9 @@ def rearranged_at_one(coeffs: TaylorCoefficients, k_terms: int) -> Rearranged:
     return Rearranged(value, slope, curvature)
 
 
-def rearranged_at_one_exact(order: int, dps: int = 40) -> Rearranged:
-    """Rearranged sums at x = 1 carried out entirely at working precision
-    dps, then rounded once at the end.  The value is a cancellation of
+def rearranged_at_one_exact(order: int) -> Rearranged:
+    """Rearranged sums at x = 1 carried out entirely at _DPS digits, then
+    rounded once at the end.  The value is a cancellation of
     coefficient-sized terms down past 1e-20, which double-rounded
     coefficients cannot resolve (their rounding alone leaves a floor of a
     few 1e-18); this route exists for exactly that quantity."""
@@ -251,7 +230,7 @@ def rearranged_at_one_exact(order: int, dps: int = 40) -> Rearranged:
         raise DomainError(f"order must be >= 0, got {order!r}")
     import mpmath as mp
 
-    with mp.workdps(dps):
+    with mp.workdps(_DPS):
         c = _coefficients_mp(order, mp)
         half = -mp.mpf(1) / 2
         value = mp.fsum(c[n] * half**n / mp.factorial(n) for n in range(order + 1))
@@ -264,53 +243,3 @@ def rearranged_at_one_exact(order: int, dps: int = 40) -> Rearranged:
         )
         return Rearranged(float(value), float(slope), float(curvature))
 
-
-def li_estimate_vs_exact(coeffs: TaylorCoefficients) -> LiComparison:
-    """Slope of the rearranged series vs the closed first Li coefficient."""
-    if coeffs.order < 2:
-        raise DomainError("need order >= 2 for a meaningful slope estimate")
-    estimate = rearranged_at_one(coeffs, coeffs.order).slope
-    exact = magneton.lambda_one()
-    return LiComparison(estimate, exact, estimate - exact)
-
-
-def reconstruct(coeffs: TaylorCoefficients, x: float) -> ReconstructionResult:
-    """Evaluate the partial Taylor sum of ln|xi| at x.  Points farther than
-    the convergence radius from the center get a divergence warning flag
-    instead of an error: the partial sum is still reported."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    dx = x - CENTER
-    value = math.fsum(
-        coeffs.c[n] * dx**n / math.factorial(n) for n in range(coeffs.order + 1)
-    )
-    return ReconstructionResult(value, abs(dx) > RADIUS + 1e-15)
-
-
-def hidden_symmetry_partner(rho: float) -> PartnerResult:
-    """For rho just right of 1/2, find the point rho' > 1 on the outer
-    branch where the potential takes the same value, by bracketed root
-    finding on the monotone tail; also return the logarithmic estimate
-    -ln((1+gamma)(rho-1/2))/ln 2 for comparison."""
-    rho = float(rho)
-    if not (0.5 < rho < 1.0):
-        raise DomainError(f"need 1/2 < rho < 1, got {rho!r}")
-    target = magneton.phi_closed(rho)
-    peak = magneton.phi_closed(1.0)
-    if not (0.0 < target <= peak):
-        raise NoSolutionError(
-            f"phi = {target!r} is outside the outer branch range (0, {peak!r}]"
-        )
-    approx = -math.log((1.0 + _GAMMA) * (rho - 0.5)) / math.log(2.0)
-
-    def gap(r: float) -> float:
-        return magneton.phi_closed(r) - target
-
-    lo, hi = 1.0, 2.0
-    while gap(hi) > 0.0:  # phi decays to 0 along the outer branch
-        lo, hi = hi, hi * 2.0
-        if hi > 1e6:
-            raise NoSolutionError("outer branch never drops to the target")
-    root = diagnostics.find_root(gap, lo, hi)
-    return PartnerResult(root, approx)

@@ -284,13 +284,6 @@ def test_truncation_drift_50_vs_100():
             assert drift < 5e-3
 
 
-def test_tail_uncertainty_shrinks_with_height():
-    t1 = quad.tail_uncertainty(0.5, 50.0)
-    t2 = quad.tail_uncertainty(0.5, 100.0)
-    assert 0.0 < t2 < t1
-    assert quad.tail_uncertainty(0.5, 50.0, c=4.0) > t1
-
-
 def test_lorentz_closed_examples():
     assert quad.lorentz_log_integral(0.25, 0.5, 1.0) == 0.0
     assert quad.lorentz_log_integral(1.0, 0.0, 1.0) == 0.0

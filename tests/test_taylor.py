@@ -50,6 +50,18 @@ def test_exact_coefficients_frozen(exact13):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-20)
 
 
+@pytest.mark.parametrize("x,warn", [(1.6, False), (1.05, False), (0.9, True)])
+def test_reconstruct(exact13, x, warn):
+    # the whole partial series against ln|xi| away from the center
+    dx = x - 1.5
+    value = math.fsum(c * dx**n / math.factorial(n) for n, c in enumerate(exact13.c))
+    # warn marks leaving the conservative radius 1/2, not divergence:
+    # just outside, the partial sum still tracks ln|xi|
+    assert (abs(dx) > 0.5 + 1e-15) is warn
+    assert abs(value - LN_XI[x]) < 1e-12
+    assert abs(value - math.log(abs(specfun.xi(x)))) < 1e-12
+
+
 def test_c0_is_log_xi_at_center(exact13):
     assert abs(exact13.c[0] - math.log(abs(specfun.xi(1.5)))) < 1e-13
 
@@ -129,49 +141,3 @@ def test_slope_estimates_lambda_one(prime13):
         assert taylor.rearranged_at_one(prime13, k).slope > 0.0
     assert abs(taylor.rearranged_at_one(prime13, 2).slope - lam) < 8e-4
     assert abs(taylor.rearranged_at_one(prime13, 13).slope - lam) < 2e-3
-
-
-def test_li_comparison(exact13, prime13):
-    li = taylor.li_estimate_vs_exact(exact13)
-    assert li.exact == mg.lambda_one()
-    assert abs(li.gap) <= 1e-12
-    li_pr = taylor.li_estimate_vs_exact(prime13)
-    assert abs(li_pr.gap) < 2e-3
-    with pytest.raises(DomainError):
-        taylor.li_estimate_vs_exact(taylor.compute_coefficients_exact(1))
-
-
-@pytest.mark.parametrize("x,warn", [(1.6, False), (1.05, False), (0.9, True)])
-def test_reconstruct(exact13, x, warn):
-    rec = taylor.reconstruct(exact13, x)
-    assert rec.radius_warning is warn
-    assert abs(rec.value - LN_XI[x]) < 1e-12
-    # the flag marks leaving the conservative radius, not divergence:
-    # just outside, the partial sum still tracks ln|xi|
-    assert abs(rec.value - math.log(abs(specfun.xi(x)))) < 1e-12
-
-
-def test_reconstruct_validation(exact13):
-    with pytest.raises(DomainError):
-        taylor.reconstruct(exact13, float("inf"))
-
-
-def test_partner_near_half():
-    p = taylor.hidden_symmetry_partner(0.50001)
-    assert abs(p.root - 15.454504379189182) < 1e-9
-    assert p.approx == pytest.approx(15.952260529964212, rel=1e-9)
-    assert abs(p.root - p.approx) < 0.6  # the log estimate tracks the root
-    # the defining equation: same potential on both branches
-    assert abs(mg.phi_closed(p.root) - mg.phi_closed(0.50001)) < 1e-10
-
-
-def test_partner_near_one():
-    p = taylor.hidden_symmetry_partner(0.999)
-    assert abs(p.root - 1.0016596319864729) < 1e-9
-    assert abs(mg.phi_closed(p.root) - mg.phi_closed(0.999)) < 1e-10
-
-
-@pytest.mark.parametrize("rho", [0.4, 0.5, 1.0, 1.2])
-def test_partner_domain(rho):
-    with pytest.raises(DomainError):
-        taylor.hidden_symmetry_partner(rho)
