@@ -337,9 +337,8 @@ def cmd_taylor(args) -> int:
     mode = _mode_from_flag(args.rh_mode)
     if args.order < 0 or args.order > 20:
         raise DomainError(f"order must be in [0, 20], got {args.order}")
-    table = specfun.sieve_primes(args.prime_limit)
     coeffs = taylor.compute_coefficients(
-        args.order, table, k_max=args.k_max, tail_budget=args.tail_budget
+        args.order, args.prime_limit, args.k_max, args.tail_budget
     )
     reference = taylor.rearranged_at_one_exact(args.order)
 
@@ -357,7 +356,7 @@ def cmd_taylor(args) -> int:
     for n, (cn, bn) in enumerate(zip(coeffs.c, coeffs.c_bounds)):
         lines.append(f"{n},{_fmt(cn)},{_fmt(bn)}")
     lines.append("quantity,prime_route,reference,note")
-    pr = taylor.rearranged_at_one(coeffs, coeffs.order)
+    pr = taylor.rearranged_at_one(coeffs.c, args.order)
     lam = magneton.lambda_one()
     lines.append(
         f"value_at_one,{_fmt(pr.value)},{_fmt(reference.value)},"

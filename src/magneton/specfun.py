@@ -3,8 +3,10 @@ the completed xi function, and prime machinery.
 
 Everything is self-contained double precision.  zeta is an Euler-Maclaurin
 sum whose truncation length grows with |Im s|.  The supported window is
-|Im s| <= 200, Re s >= -3: ln|zeta| is good to about 1e-12 for Re s >= -1
-and 1e-8 at Re s = -3; further left the sum cancels catastrophically.
+|Im s| <= 200, -3 <= Re s <= 1e20: ln|zeta| is good to about 1e-12 for
+Re s >= -1 and 1e-8 at Re s = -3; further left the sum cancels
+catastrophically.  On the right ln|zeta| is exactly 0.0 long before the
+edge, and from Re s of about 5e23 on the sums overflow to NaN.
 The entire function (s-1)*zeta(s) is exposed separately because every
 closed form downstream needs it finite and positive through s = 1.
 """
@@ -22,6 +24,8 @@ EULER_GAMMA = 0.5772156649015328606065
 LN_PI = math.log(math.pi)
 IM_WINDOW = 200.0
 RE_MIN = -3.0
+RE_MAX = 1e20  # ln|zeta| is exactly 0.0 long before; far beyond, the sums go NaN
+_ZERO_FLOOR = 1e-300  # a |zeta| below this is a zero hit
 _SIEVE_BUDGET = 2**30  # bytes of sieve flags one request may allocate
 
 # Bernoulli numbers B_2..B_14; seven correction terms bound the
@@ -55,6 +59,10 @@ def _in_window(s) -> complex:
     if z.real < RE_MIN:
         raise WindowExceededError(
             f"Re s = {z.real:g} lies left of the supported window Re s >= {RE_MIN:g}"
+        )
+    if z.real > RE_MAX:
+        raise WindowExceededError(
+            f"Re s = {z.real:g} lies right of the supported window Re s <= {RE_MAX:g}"
         )
     if abs(z.imag) > IM_WINDOW:
         raise WindowExceededError(
@@ -114,7 +122,7 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def log_abs_zeta_line(rho: float, t, floor: float = 1e-300) -> np.ndarray:
+def log_abs_zeta_line(rho: float, t) -> np.ndarray:
     """ln|zeta(rho + it)| at every t of a 1-D array.
 
     The Euler-Maclaurin sum of `_reg_em` (same truncation max(30,
@@ -124,7 +132,7 @@ def log_abs_zeta_line(rho: float, t, floor: float = 1e-300) -> np.ndarray:
     truncation length are summed as whole rows, so every value equals
     `log_abs_zeta(complex(rho, t))` to the last bit.  Errors and the zero
     signal are the scalar ones: PoleError at s = 1, WindowExceededError
-    outside the window, and -inf where |zeta| < `floor`."""
+    outside the window, and -inf where |zeta| < _ZERO_FLOOR."""
     rho = float(rho)
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 1:
@@ -197,7 +205,7 @@ def log_abs_zeta_line(rho: float, t, floor: float = 1e-300) -> np.ndarray:
     # and np.log of arrays differ from them in the last bit)
     zeta_val = reg / (s - 1.0)
     az = np.hypot(zeta_val.real, zeta_val.imag)
-    zero_hit = az < floor
+    zero_hit = az < _ZERO_FLOOR
     az[zero_hit] = 1.0
     out = np.array(list(map(math.log, az.tolist())), dtype=np.float64)
     out[zero_hit] = -math.inf
@@ -233,15 +241,15 @@ def reg_logderiv(s) -> complex:
     return dreg / reg
 
 
-def log_abs_zeta(s, floor: float = 1e-300) -> float:
-    """ln|zeta(s)|.  A modulus below `floor` signals a zero hit and maps to
-    -inf rather than raising; the quadrature layer treats that as a spike."""
+def log_abs_zeta(s) -> float:
+    """ln|zeta(s)|.  A modulus below _ZERO_FLOOR signals a zero hit and maps
+    to -inf rather than raising; the quadrature layer treats that as a spike."""
     z = _in_window(s)
     if z == 1.0:
         raise PoleError("zeta has its pole at s = 1")
     reg, _ = _reg_em(z, False)
     az = abs(reg / (z - 1.0))
-    if az < floor:
+    if az < _ZERO_FLOOR:
         return float("-inf")
     return math.log(az)
 
@@ -346,27 +354,10 @@ def xi(s) -> complex:
     return out
 
 
-class PrimeTable:
-    """Immutable sieved prime list up to `limit` (inclusive)."""
-
-    __slots__ = ("limit", "primes")
-
-    def __init__(self, limit: int, primes: np.ndarray):
-        self.limit = int(limit)
-        primes = np.asarray(primes, dtype=np.int64)
-        primes.setflags(write=False)
-        self.primes = primes
-
-    def __len__(self):
-        return int(self.primes.size)
-
-    def __repr__(self):
-        return f"PrimeTable(limit={self.limit}, count={len(self)})"
-
-
-def sieve_primes(limit: int) -> PrimeTable:
-    """Eratosthenes sieve.  The flag array costs about `limit` bytes; a
-    request beyond _SIEVE_BUDGET bytes raises instead of thrashing."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """The primes <= limit, ascending, by the Eratosthenes sieve.  The flag
+    array costs about `limit` bytes; a request beyond _SIEVE_BUDGET bytes
+    raises instead of thrashing."""
     if not isinstance(limit, (int, np.integer)) or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if limit + 1 > _SIEVE_BUDGET:
@@ -378,7 +369,7 @@ def sieve_primes(limit: int) -> PrimeTable:
     for p in range(2, math.isqrt(int(limit)) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return PrimeTable(limit, np.flatnonzero(flags))
+    return np.flatnonzero(flags)
 
 
 def exp_integral_e1(z: float) -> float:

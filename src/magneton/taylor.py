@@ -19,7 +19,6 @@ coefficient from primes alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,17 +32,15 @@ DEFAULT_ORDER = 13
 DEFAULT_PRIME_LIMIT = 10**6
 DEFAULT_K_MAX = 60
 _K_GUARD = 8  # extra prime-power blocks measured for the cutoff bound
+# p^(-3k/2) is exactly 0.0 for every prime from k = 717 on, so from this
+# k_max on the coefficients and bounds no longer change in a single bit
+_K_CEILING = 716
 
 
-@dataclass(frozen=True)
-class TaylorCoefficients:
-    order: int
-    c: tuple  # length order + 1
-    prime_limit: int
-    k_max: int
-    tail_bound: float
+class TaylorCoefficients(NamedTuple):
+    c: tuple  # C_0 .. C_order
     c_bounds: tuple  # per-coefficient honesty bounds, same length as c
-    method: str  # "prime" or "exact"
+    tail_bound: float  # max(c_bounds)
 
 
 class Rearranged(NamedTuple):
@@ -72,11 +69,11 @@ def _analytic_part(n: int) -> float:
 
 def compute_coefficients(
     order: int,
-    table: specfun.PrimeTable,
+    prime_limit: int = DEFAULT_PRIME_LIMIT,
     k_max: int = DEFAULT_K_MAX,
     tail_budget: float | None = None,
 ) -> TaylorCoefficients:
-    """C_n for n = 0..order from the prime table, tail-corrected.
+    """C_n for n = 0..order from the primes <= prime_limit, tail-corrected.
 
     The zeta part is (-1)^n sum_k k^(n-1) sum_p (ln p)^n p^(-3k/2); primes
     beyond the table are re-added through the integral-test estimate for
@@ -88,11 +85,12 @@ def compute_coefficients(
         raise DomainError(f"order must be >= 0, got {order!r}")
     if k_max < 1:
         raise DomainError(f"k_max must be >= 1, got {k_max!r}")
-    primes = table.primes
-    if len(primes) == 0:
-        raise DomainError("empty prime table")
+    if k_max > _K_CEILING:
+        raise DomainError(f"k_max must be <= {_K_CEILING}, got {k_max!r}")
+    if tail_budget is not None and math.isnan(tail_budget):
+        raise DomainError("tail budget must be a number, got nan")
 
-    lp = np.log(primes.astype(np.float64))
+    lp = np.log(specfun.sieve_primes(prime_limit).astype(np.float64))
     q = np.exp(-1.5 * lp)  # p^(-3/2)
     k_top = k_max + _K_GUARD
     # S[n][k] = sum_p (ln p)^n p^(-3k/2); numpy pairwise sums, fixed order
@@ -106,7 +104,7 @@ def compute_coefficients(
             if n < order:
                 w = w * lp
 
-    limit = float(table.limit)
+    limit = float(prime_limit)
     c = []
     c_bounds = []
     for n in range(order + 1):
@@ -120,10 +118,8 @@ def compute_coefficients(
         # k cutoff: measured guard blocks plus a geometric remainder pad
         guard = [float(k) ** (n - 1) * S[n, k] for k in range(k_max + 1, k_top + 1)]
         k_cut = math.fsum(guard) + 3.0 * guard[-1]
-        bound = specfun.TAIL_FLUCTUATION_REL * math.fsum(ests) + k_cut
-        prime_part = raw + correction
-        c.append(math.fsum((prime_part, _analytic_part(n))))
-        c_bounds.append(bound)
+        c.append(math.fsum((raw + correction, _analytic_part(n))))
+        c_bounds.append(specfun.TAIL_FLUCTUATION_REL * math.fsum(ests) + k_cut)
 
     tail_bound = max(c_bounds)
     if tail_budget is not None and tail_bound > tail_budget:
@@ -131,15 +127,7 @@ def compute_coefficients(
             f"prime-tail bound {tail_bound:.3g} exceeds the budget {tail_budget:.3g}; "
             "raise the table limit or lower the order"
         )
-    return TaylorCoefficients(
-        order=order,
-        c=tuple(c),
-        prime_limit=table.limit,
-        k_max=k_max,
-        tail_bound=tail_bound,
-        c_bounds=tuple(c_bounds),
-        method="prime",
-    )
+    return TaylorCoefficients(tuple(c), tuple(c_bounds), tail_bound)
 
 
 def _coefficients_mp(order: int, mp):
@@ -176,48 +164,37 @@ def _coefficients_mp(order: int, mp):
     return out
 
 
-def compute_coefficients_exact(order: int) -> TaylorCoefficients:
-    """Reference route: the same coefficients from high-precision zeta
-    derivatives (no prime truncation).  Used as the cross-check oracle for
-    the prime route and for the deep-cancellation sums the prime route
-    cannot support."""
+def compute_coefficients_exact(order: int) -> tuple:
+    """Reference route: C_0..C_order from high-precision zeta derivatives
+    (no prime truncation).  Used as the cross-check oracle for the prime
+    route and for the deep-cancellation sums the prime route cannot
+    support."""
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order!r}")
     import mpmath as mp
 
     with mp.workdps(_DPS):
-        c = [float(v) for v in _coefficients_mp(order, mp)]
-    return TaylorCoefficients(
-        order=order,
-        c=tuple(c),
-        prime_limit=0,
-        k_max=0,
-        tail_bound=0.0,
-        c_bounds=(0.0,) * (order + 1),
-        method="exact",
-    )
+        return tuple(float(v) for v in _coefficients_mp(order, mp))
 
 
-def rearranged_at_one(coeffs: TaylorCoefficients, k_terms: int) -> Rearranged:
-    """Partial sums of the series pushed from 3/2 to 1 (step -1/2):
-    value, first and second derivative of ln|xi| at 1.  The value is a
-    near-total cancellation; terms are summed exactly in fixed order."""
-    if not (0 <= k_terms <= coeffs.order):
-        raise DomainError(
-            f"k_terms must lie in [0, {coeffs.order}], got {k_terms!r}"
-        )
-    c = coeffs.c
-    value = math.fsum(
-        c[n] * (-0.5) ** n / math.factorial(n) for n in range(k_terms + 1)
-    )
-    slope = math.fsum(
-        c[n] * (-0.5) ** (n - 1) / math.factorial(n - 1) for n in range(1, k_terms + 1)
-    )
-    curvature = math.fsum(
-        c[n] * (-0.5) ** (n - 2) / (2.0 * math.factorial(n - 2))
-        for n in range(2, k_terms + 1)
+def _rearranged(c, k: int, half, fsum, factorial) -> Rearranged:
+    """Partial sums through c[k] of the series pushed from 3/2 to 1 (step
+    `half` = -1/2): value, first and second derivative of ln|xi| at 1.
+    Each is summed exactly in fixed order by `fsum`."""
+    value = fsum(c[n] * half**n / factorial(n) for n in range(k + 1))
+    slope = fsum(c[n] * half ** (n - 1) / factorial(n - 1) for n in range(1, k + 1))
+    curvature = fsum(
+        c[n] * half ** (n - 2) / (2 * factorial(n - 2)) for n in range(2, k + 1)
     )
     return Rearranged(value, slope, curvature)
+
+
+def rearranged_at_one(c, k_terms: int) -> Rearranged:
+    """Rearranged sums at x = 1 of the coefficients c[0..k_terms].  The
+    value is a near-total cancellation."""
+    if not (0 <= k_terms < len(c)):
+        raise DomainError(f"k_terms must lie in [0, {len(c) - 1}], got {k_terms!r}")
+    return _rearranged(c, k_terms, -0.5, math.fsum, math.factorial)
 
 
 def rearranged_at_one_exact(order: int) -> Rearranged:
@@ -232,14 +209,5 @@ def rearranged_at_one_exact(order: int) -> Rearranged:
 
     with mp.workdps(_DPS):
         c = _coefficients_mp(order, mp)
-        half = -mp.mpf(1) / 2
-        value = mp.fsum(c[n] * half**n / mp.factorial(n) for n in range(order + 1))
-        slope = mp.fsum(
-            c[n] * half ** (n - 1) / mp.factorial(n - 1) for n in range(1, order + 1)
-        )
-        curvature = mp.fsum(
-            c[n] * half ** (n - 2) / (2 * mp.factorial(n - 2))
-            for n in range(2, order + 1)
-        )
-        return Rearranged(float(value), float(slope), float(curvature))
-
+        r = _rearranged(c, order, -mp.mpf(1) / 2, mp.fsum, mp.factorial)
+        return Rearranged._make(float(v) for v in r)

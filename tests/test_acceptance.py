@@ -193,13 +193,12 @@ def test_criterion_6_well_zeros():
 
 def test_criterion_7_prime_route():
     exact = taylor.rearranged_at_one_exact(13)
-    table = specfun.sieve_primes(10**6)
-    prime13 = taylor.compute_coefficients(13, table)
-    low = taylor.rearranged_at_one(prime13, 2)
+    prime13 = taylor.compute_coefficients(13, 10**6)
+    low = taylor.rearranged_at_one(prime13.c, 2)
     honest = all(
         abs(prime13.c[n] - cn_exact) <= prime13.c_bounds[n]
         for n, cn_exact in enumerate(
-            taylor.compute_coefficients_exact(13).c)
+            taylor.compute_coefficients_exact(13))
     )
     # The order-13 slope tolerance was left open pending a convergence
     # study.  The study: the exact-coefficient route reproduces the slope

@@ -124,6 +124,23 @@ def test_table_left_of_window(capsys, rho):
     assert err.startswith("error: ") and "left of the supported window" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--rho", "1e24"],
+        ["figure", "phi", "--lo=1e300", "--hi=1e301", "--step=1e300"],
+        ["figure", "field", "--lo=1e300", "--hi=1e301", "--step=1e300"],
+    ],
+)
+def test_right_of_window(capsys, argv):
+    # far right the zeta sums overflow to nan; refused instead of printing
+    # nan rows or refining an all-nan line panel by panel
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "right of the supported window" in err
+
+
 @pytest.mark.parametrize("hi", ["434", "602"])
 def test_figure_overflow_exit_code(capsys, hi):
     # |xi(x)| leaves the double range at x = 433; from x = 436 on the
@@ -305,6 +322,22 @@ def test_taylor_order_cap(capsys):
     code, _, err = run(["taylor", "--order", "21"], capsys)
     assert code == 2
     assert "order" in err
+
+
+def test_taylor_k_max_ceiling(capsys):
+    # refused before the sieve: the prime-power blocks would need 156 GiB
+    code, out, err = run(["taylor", "--k-max", "1000000000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: k_max must be <= 716") and err.count("\n") == 1
+
+
+def test_taylor_nan_budget(capsys):
+    # a nan budget would compare False against every bound, never applied
+    code, out, err = run(["taylor", "--tail-budget", "nan"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tail budget") and err.count("\n") == 1
 
 
 def test_unknown_command(capsys):

@@ -1,0 +1,78 @@
+"""Golden CLI payloads: every line but the timestamp, byte for byte.
+
+The expected files under tests/payloads/ hold the output of `cli.main`
+with `--out`, the `# timestamp:` line removed.  The bytes come from this
+platform's numpy and libm; another BLAS, numpy build or libm may move a
+last digit, and then the files are regenerated there, not loosened.
+
+Regenerate with `PYTHONPATH=src python tests/test_payloads.py`.
+"""
+
+import pathlib
+
+import pytest
+
+from magneton import cli
+
+PAYLOADS = pathlib.Path(__file__).with_name("payloads")
+
+COMMANDS = {
+    "constants": ["constants"],
+    "figure_phi": ["figure", "phi"],
+    "figure_field": ["figure", "field"],
+    "figure_well": ["figure", "well"],
+    "figure_xi": ["figure", "xi"],
+    "table": ["table", "--rho", "0.2", "0.5", "0.8", "2", "1"],
+    "taylor_13": ["taylor", "--order", "13", "--prime-limit", "1000000"],
+    "taylor_5_kmax7": [
+        "taylor", "--order", "5", "--prime-limit", "2000000", "--k-max", "7",
+    ],
+}
+
+# name -> argv and exit code; the expected stderr is in <name>.stderr
+REFUSALS = {
+    "table_depth4": (["table", "--rho", "0.5", "--max-depth", "4"], 3),
+    "constants_outside": (["constants", "--rh-mode", "outside-only"], 2),
+}
+
+
+def _payload(argv, out_path) -> str:
+    assert cli.main([*argv, "--out", str(out_path)]) == 0
+    text = pathlib.Path(out_path).read_text(encoding="utf-8")
+    return "".join(
+        ln for ln in text.splitlines(keepends=True) if not ln.startswith("# timestamp:")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_payload_matches_golden(name, tmp_path, capsys):
+    got = _payload(COMMANDS[name], tmp_path / "out.csv")
+    assert capsys.readouterr().err == ""
+    want = (PAYLOADS / f"{name}.csv").read_text(encoding="utf-8")
+    assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_refusal_matches_golden(name, capsys):
+    argv, code = REFUSALS[name]
+    assert cli.main(argv) == code
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert cap.err == (PAYLOADS / f"{name}.stderr").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+    import tempfile
+
+    PAYLOADS.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in COMMANDS.items():
+            text = _payload(argv, pathlib.Path(tmp) / "out.csv")
+            (PAYLOADS / f"{name}.csv").write_text(text, encoding="utf-8")
+    for name, (argv, code) in REFUSALS.items():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(argv) == code
+        (PAYLOADS / f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")

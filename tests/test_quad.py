@@ -203,7 +203,7 @@ def test_line_kernel_matches_scalar(rng, rho):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_line_kernel_error_signals():
+def test_line_kernel_error_signals(monkeypatch):
     with pytest.raises(PoleError):
         specfun.log_abs_zeta_line(1.0, np.array([3.0, 0.0]))
     with pytest.raises(WindowExceededError):
@@ -216,8 +216,9 @@ def test_line_kernel_error_signals():
     # a modulus below the floor is a zero hit and maps to -inf, as in the
     # scalar path: the trivial zero at s = -2 and the first nontrivial one
     for rho, t, floor in ((-2.0, 0.0, 1e-10), (0.5, 14.134725141734693, 1e-12)):
-        assert specfun.log_abs_zeta(complex(rho, t), floor) == -math.inf
-        got = specfun.log_abs_zeta_line(rho, np.array([t, t + 1.0]), floor)
+        monkeypatch.setattr(specfun, "_ZERO_FLOOR", floor)
+        assert specfun.log_abs_zeta(complex(rho, t)) == -math.inf
+        got = specfun.log_abs_zeta_line(rho, np.array([t, t + 1.0]))
         assert got[0] == -math.inf and math.isfinite(got[1])
 
 

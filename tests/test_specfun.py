@@ -162,14 +162,11 @@ def test_zeta_logderiv_against_difference():
 
 
 def test_sieve_small():
-    t = specfun.sieve_primes(30)
-    assert list(t.primes) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert t.limit == 30
+    assert list(specfun.sieve_primes(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_sieve_count_1e6(primes_1e6):
-    assert len(primes_1e6) == 78498
-    assert not primes_1e6.primes.flags.writeable
+def test_sieve_count_1e6():
+    assert len(specfun.sieve_primes(10**6)) == 78498
 
 
 def test_sieve_capacity():

@@ -38,15 +38,13 @@ def exact13():
 
 
 @pytest.fixture(scope="module")
-def prime13(primes_1e6):
-    return taylor.compute_coefficients(13, primes_1e6)
+def prime13():
+    return taylor.compute_coefficients(13, 10**6)
 
 
 def test_exact_coefficients_frozen(exact13):
-    assert exact13.order == 13
-    assert exact13.method == "exact"
-    assert len(exact13.c) == 14
-    for got, want in zip(exact13.c, C_EXACT):
+    assert len(exact13) == 14
+    for got, want in zip(exact13, C_EXACT):
         assert got == pytest.approx(want, rel=1e-11, abs=1e-20)
 
 
@@ -54,7 +52,7 @@ def test_exact_coefficients_frozen(exact13):
 def test_reconstruct(exact13, x, warn):
     # the whole partial series against ln|xi| away from the center
     dx = x - 1.5
-    value = math.fsum(c * dx**n / math.factorial(n) for n, c in enumerate(exact13.c))
+    value = math.fsum(c * dx**n / math.factorial(n) for n, c in enumerate(exact13))
     # warn marks leaving the conservative radius 1/2, not divergence:
     # just outside, the partial sum still tracks ln|xi|
     assert (abs(dx) > 0.5 + 1e-15) is warn
@@ -63,41 +61,52 @@ def test_reconstruct(exact13, x, warn):
 
 
 def test_c0_is_log_xi_at_center(exact13):
-    assert abs(exact13.c[0] - math.log(abs(specfun.xi(1.5)))) < 1e-13
+    assert abs(exact13[0] - math.log(abs(specfun.xi(1.5)))) < 1e-13
 
 
 def test_prime_route_within_own_bounds(exact13, prime13):
-    assert prime13.method == "prime"
     assert len(prime13.c) == 14
-    for n, (p, e, b) in enumerate(zip(prime13.c, exact13.c, prime13.c_bounds)):
+    for n, (p, e, b) in enumerate(zip(prime13.c, exact13, prime13.c_bounds)):
         assert abs(p - e) <= b, (n, p - e, b)
 
 
-def test_prime_bounds_shrink_with_table(primes_1e6, primes_2e6, exact13):
-    small = taylor.compute_coefficients(5, primes_1e6)
-    big = taylor.compute_coefficients(5, primes_2e6)
+def test_prime_bounds_shrink_with_table(exact13):
+    small = taylor.compute_coefficients(5, 10**6)
+    big = taylor.compute_coefficients(5, 2 * 10**6)
     assert big.tail_bound < small.tail_bound
-    for p, e, b in zip(big.c, exact13.c, big.c_bounds):
+    for p, e, b in zip(big.c, exact13, big.c_bounds):
         assert abs(p - e) <= b
 
 
-def test_truncation_budget(primes_1e6):
-    taylor.compute_coefficients(3, primes_1e6, tail_budget=1e-3)
+def test_truncation_budget():
+    taylor.compute_coefficients(3, 10**6, tail_budget=1e-3)
     with pytest.raises(TruncationBudgetError, match="table limit"):
-        taylor.compute_coefficients(3, primes_1e6, tail_budget=1e-6)
+        taylor.compute_coefficients(3, 10**6, tail_budget=1e-6)
     with pytest.raises(TruncationBudgetError):
-        taylor.compute_coefficients(13, primes_1e6, tail_budget=1e-12)
+        taylor.compute_coefficients(13, 10**6, tail_budget=1e-12)
 
 
-def test_compute_validation(primes_1e6):
+def test_compute_validation():
     with pytest.raises(DomainError):
-        taylor.compute_coefficients(-1, primes_1e6)
+        taylor.compute_coefficients(-1, 10**6)
     with pytest.raises(DomainError):
-        taylor.compute_coefficients(3, primes_1e6, k_max=0)
+        taylor.compute_coefficients(3, 10**6, k_max=0)
     with pytest.raises(DomainError):
-        taylor.compute_coefficients(3, specfun.sieve_primes(1))
+        taylor.compute_coefficients(3, 1)
+    with pytest.raises(DomainError, match="k_max must be <= 716"):
+        taylor.compute_coefficients(3, 10**6, k_max=717)
+    with pytest.raises(DomainError, match="nan"):
+        taylor.compute_coefficients(3, 10**6, tail_budget=math.nan)
     with pytest.raises(DomainError):
         taylor.compute_coefficients_exact(-2)
+
+
+def test_k_max_ceiling_changes_nothing_beyond(monkeypatch):
+    # from the ceiling on, p^(-3k/2) is 0.0 for every prime, so a higher
+    # k_max would reproduce the same coefficients and bounds bit for bit
+    at_ceiling = taylor.compute_coefficients(20, 1000, taylor._K_CEILING)
+    monkeypatch.setattr(taylor, "_K_CEILING", 2000)
+    assert taylor.compute_coefficients(20, 1000, 2000) == at_ceiling
 
 
 def test_rearranged_float_route_pins(exact13):
@@ -138,6 +147,6 @@ def test_slope_estimates_lambda_one(prime13):
     # truncation floor (~6e-4) at order 13
     lam = mg.lambda_one()
     for k in range(1, 14):
-        assert taylor.rearranged_at_one(prime13, k).slope > 0.0
-    assert abs(taylor.rearranged_at_one(prime13, 2).slope - lam) < 8e-4
-    assert abs(taylor.rearranged_at_one(prime13, 13).slope - lam) < 2e-3
+        assert taylor.rearranged_at_one(prime13.c, k).slope > 0.0
+    assert abs(taylor.rearranged_at_one(prime13.c, 2).slope - lam) < 8e-4
+    assert abs(taylor.rearranged_at_one(prime13.c, 13).slope - lam) < 2e-3
