@@ -35,6 +35,7 @@ _K_GUARD = 8  # extra prime-power blocks measured for the cutoff bound
 # p^(-3k/2) is exactly 0.0 for every prime from k = 717 on, so from this
 # k_max on the coefficients and bounds no longer change in a single bit
 _K_CEILING = 716
+_LEAF = 1 << 15  # primes per cache-resident block of _prime_sums
 
 
 class TaylorCoefficients(NamedTuple):
@@ -67,6 +68,44 @@ def _analytic_part(n: int) -> float:
     return math.fsum((rational, gamma_part, pi_part))
 
 
+def _prime_sums(lp, q, order: int, k_top: int):
+    """S[n, k] = sum_p lp^n q^k for 0 <= n <= order, 1 <= k <= k_top.
+
+    lp holds ln p and q = p^(-3/2) for increasing primes; column k = 0 is 0.
+    Every entry has the bits of `(q**k * lp**n).sum()` built as repeated
+    products over the whole array, but each (k, n) pass runs on a block of
+    at most _LEAF primes that stays in cache.
+    """
+    # numpy sums a contiguous float64 array by a fixed pairwise tree: a node
+    # of more than 128 elements is halved, the split rounded down to a
+    # multiple of 8, and the two halves' sums are added.  Splitting at the
+    # same points and adding leaf sums back up the same tree therefore
+    # repeats numpy's additions exactly.
+    size = len(q)
+    if size > _LEAF:
+        half = size // 2
+        half -= half % 8
+        return _prime_sums(lp[:half], q[:half], order, k_top) + _prime_sums(
+            lp[half:], q[half:], order, k_top
+        )
+    S = np.zeros((order + 1, k_top + 1))
+    qk = np.ones_like(q)
+    w = np.empty_like(q)
+    for k in range(1, k_top + 1):
+        np.multiply(qk, q, out=qk)
+        # q decreases along the block and rounding is monotone, so q^k is
+        # largest at the block's first prime: once that is 0.0 the block
+        # adds exactly 0.0 to this and every later k.
+        if not size or qk[0] == 0.0:
+            break
+        w[:] = qk
+        for n in range(order + 1):
+            if n:
+                np.multiply(w, lp, out=w)
+            S[n, k] = w.sum()
+    return S
+
+
 def compute_coefficients(
     order: int,
     prime_limit: int = DEFAULT_PRIME_LIMIT,
@@ -93,16 +132,7 @@ def compute_coefficients(
     lp = np.log(specfun.sieve_primes(prime_limit).astype(np.float64))
     q = np.exp(-1.5 * lp)  # p^(-3/2)
     k_top = k_max + _K_GUARD
-    # S[n][k] = sum_p (ln p)^n p^(-3k/2); numpy pairwise sums, fixed order
-    S = np.empty((order + 1, k_top + 1))
-    qk = np.ones_like(q)
-    for k in range(1, k_top + 1):
-        qk = qk * q
-        w = qk
-        for n in range(order + 1):
-            S[n, k] = w.sum()
-            if n < order:
-                w = w * lp
+    S = _prime_sums(lp, q, order, k_top)
 
     limit = float(prime_limit)
     c = []

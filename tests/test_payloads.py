@@ -5,7 +5,10 @@ with `--out`, the `# timestamp:` line removed.  The bytes come from this
 platform's numpy and libm; another BLAS, numpy build or libm may move a
 last digit, and then the files are regenerated there, not loosened.
 
-Regenerate with `PYTHONPATH=src python tests/test_payloads.py`.
+Regenerate with `PYTHONPATH=src python tests/test_payloads.py [NAME ...]`.
+With names (keys of COMMANDS or REFUSALS, e.g. `taylor_20`) only those
+files are rewritten; with none, every golden is.  Name the goldens a change
+adds, so the others stay pinned to the code they were made from.
 """
 
 import pathlib
@@ -24,6 +27,7 @@ COMMANDS = {
     "figure_xi": ["figure", "xi"],
     "table": ["table", "--rho", "0.2", "0.5", "0.8", "2", "1"],
     "taylor_13": ["taylor", "--order", "13", "--prime-limit", "1000000"],
+    "taylor_20": ["taylor", "--order", "20", "--prime-limit", "1000000"],
     "taylor_5_kmax7": [
         "taylor", "--order", "5", "--prime-limit", "2000000", "--k-max", "7",
     ],
@@ -64,15 +68,22 @@ def test_refusal_matches_golden(name, capsys):
 if __name__ == "__main__":
     import contextlib
     import io
+    import sys
     import tempfile
 
+    names = sys.argv[1:] or [*COMMANDS, *REFUSALS]
+    unknown = [n for n in names if n not in COMMANDS and n not in REFUSALS]
+    if unknown:
+        sys.exit(f"unknown golden name(s): {', '.join(unknown)}")
     PAYLOADS.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in COMMANDS.items():
-            text = _payload(argv, pathlib.Path(tmp) / "out.csv")
-            (PAYLOADS / f"{name}.csv").write_text(text, encoding="utf-8")
-    for name, (argv, code) in REFUSALS.items():
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            assert cli.main(argv) == code
-        (PAYLOADS / f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")
+        for name in names:
+            if name in COMMANDS:
+                text = _payload(COMMANDS[name], pathlib.Path(tmp) / "out.csv")
+                (PAYLOADS / f"{name}.csv").write_text(text, encoding="utf-8")
+                continue
+            argv, code = REFUSALS[name]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert cli.main(argv) == code
+            (PAYLOADS / f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")

@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from magneton import magneton as mg, specfun, taylor
 from magneton.errors import DomainError, TruncationBudgetError
@@ -107,6 +109,60 @@ def test_k_max_ceiling_changes_nothing_beyond(monkeypatch):
     at_ceiling = taylor.compute_coefficients(20, 1000, taylor._K_CEILING)
     monkeypatch.setattr(taylor, "_K_CEILING", 2000)
     assert taylor.compute_coefficients(20, 1000, 2000) == at_ceiling
+
+
+_PRIMES = specfun.sieve_primes(2 * 10**6)  # 148,933 primes
+_LEAF = taylor._LEAF
+
+
+def _prime_sums_oracle(lp, q, order, k_top):
+    # the whole-array loop _prime_sums replaced: one product and one numpy
+    # sum over every prime per (k, n)
+    S = np.zeros((order + 1, k_top + 1))
+    qk = np.ones_like(q)
+    for k in range(1, k_top + 1):
+        qk = qk * q
+        w = qk
+        for n in range(order + 1):
+            S[n, k] = w.sum()
+            if n < order:
+                w = w * lp
+    return S
+
+
+_lengths = st.one_of(
+    st.integers(0, 7),
+    st.builds(lambda m, d: 8 * m + d, st.integers(1, 600), st.sampled_from((-1, 0, 1))),
+    st.sampled_from(
+        [base + d for base in (_LEAF, 2 * _LEAF) for d in (-9, -8, -1, 0, 1, 8, 9)]
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    start=st.integers(0, len(_PRIMES)),
+    size=_lengths,
+    order=st.integers(0, 20),
+    k_top=st.integers(1, 60),
+)
+# two blocks, the second from p ~ 3.9e5: it underflows from k = 39 on
+@example(start=0, size=2 * _LEAF + 1, order=20, k_top=48)
+# one block from p ~ 1e6, underflowing from k = 36 on
+@example(start=78_498, size=7 * 8 + 1, order=3, k_top=45)
+def test_prime_sums_bitwise_equal_to_whole_array_sums(start, size, order, k_top):
+    """_prime_sums splits the primes at the nodes of numpy's pairwise-sum
+    tree and adds block sums back up that tree, so it must reproduce the
+    whole-array sums bit for bit.  This is the test that catches a numpy
+    release whose pairwise-sum tree (leaf size, split rule or unrolling)
+    differs from the one the kernel mirrors; the taylor payload goldens
+    would then move too, and this test names the cause."""
+    start = min(start, len(_PRIMES) - size)
+    lp = np.log(_PRIMES[start : start + size].astype(np.float64))
+    q = np.exp(-1.5 * lp)
+    got = taylor._prime_sums(lp, q, order, k_top)
+    want = _prime_sums_oracle(lp, q, order, k_top)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_rearranged_float_route_pins(exact13):
