@@ -34,6 +34,10 @@ _JUMP_OFFSET = 1e-6
 # Most rows one rho list or figure grid may hold; counted before anything
 # is allocated, so a tiny step is refused instead of exhausting memory.
 _MAX_ROWS = 1_000_000
+_RH_MODES = {
+    "conditional": magneton.RhMode.CONDITIONAL_RH,
+    "outside-only": magneton.RhMode.OUTSIDE_STRIP_ONLY,
+}
 _FIGURE_DEFAULTS = {
     # lo, hi, step
     "phi": (-2.0, 3.0, 0.01),
@@ -41,38 +45,48 @@ _FIGURE_DEFAULTS = {
     "well": (0.0, 2.0, 0.01),
     "xi": (0.0, 2.0, 0.01),
 }
+_FIGURE_HEADERS = {
+    # comment line, column header
+    "phi": ("# potential phi(rho), closed form", "rho,phi_closed"),
+    "field": (
+        "# field E = phi' (jumps excluded; refined grid and one-sided "
+        f"offsets at {_JUMP_OFFSET:g} flank each jump)",
+        "rho,field_E",
+    ),
+    "well": ("# symmetric well S(x) = (phi(x-1/2) + phi(3/2-x))/2", "x,well_S"),
+    "xi": (
+        "# symmetrized log xi: ln|xi(1+|x-1|)|, the averaged log of the "
+        "completed zeta in the x = rho + 1/2 coordinate",
+        "x,sym_log_xi",
+    ),
+}
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _mode_from_flag(flag: str) -> magneton.RhMode:
-    return {
-        "conditional": magneton.RhMode.CONDITIONAL_RH,
-        "outside-only": magneton.RhMode.OUTSIDE_STRIP_ONLY,
-    }[flag]
-
-
-def _manifest(command: str, params: dict, mode: magneton.RhMode) -> list[str]:
+def _emit(args, params: dict, body: list[str]):
+    """Write the five-line manifest and then `body` to --out or stdout; an
+    --out that cannot be written is a usage error."""
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     rendered = ", ".join(f"{k}={params[k]}" for k in sorted(params)) or "defaults"
-    return [
-        f"# command: {command}",
+    manifest = [
+        f"# command: {args.command}",
         f"# parameters: {rendered}",
-        f"# rh_mode: {mode.value}",
+        f"# rh_mode: {args.mode.value}",
         f"# tool_version: {__version__}",
         f"# timestamp: {stamp}",
     ]
-
-
-def _emit(out_path: str | None, lines: list[str]):
-    payload = "\n".join(lines) + "\n"
-    if out_path is None:
+    payload = "\n".join(manifest + body) + "\n"
+    if args.out is None:
         sys.stdout.write(payload)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        return
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
+    except OSError as exc:
+        raise MagnetonError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
 
 
 def _grid_count(lo: float, hi: float, step: float) -> int:
@@ -86,6 +100,10 @@ def _grid_count(lo: float, hi: float, step: float) -> int:
     return int(math.floor(span)) + 1
 
 
+def _coarse_grid(lo: float, hi: float, step: float) -> list[float]:
+    return [lo + i * step for i in range(_grid_count(lo, hi, step))]
+
+
 def _parse_rho_spec(tokens: list[str]) -> list[float]:
     """Each token is a number or an inclusive lo:hi:step range."""
     out: list[float] = []
@@ -97,10 +115,10 @@ def _parse_rho_spec(tokens: list[str]) -> list[float]:
             lo, hi, step = (float(p) for p in parts)
             if not (step > 0.0) or hi < lo:
                 raise DomainError(f"bad range {tok!r}: need lo <= hi, step > 0")
-            n = _grid_count(lo, hi, step)
-            if len(out) + n > _MAX_ROWS:
+            grid = _coarse_grid(lo, hi, step)
+            if len(out) + len(grid) > _MAX_ROWS:
                 raise CapacityError(f"rho list exceeds {_MAX_ROWS} rows")
-            out.extend(lo + i * step for i in range(n))
+            out.extend(grid)
         else:
             out.append(float(tok))
     if not out:
@@ -109,14 +127,13 @@ def _parse_rho_spec(tokens: list[str]) -> list[float]:
 
 
 def cmd_table(args) -> int:
-    mode = _mode_from_flag(args.rh_mode)
     rhos = _parse_rho_spec(args.rho)
     cfg = quad.QuadratureConfig(
         t_max=args.t_max, abs_tol=args.tol, max_depth=args.max_depth
     )
 
     def row(rho: float) -> str:
-        closed = magneton.phi_closed(rho, mode)
+        closed = magneton.phi_closed(rho, args.mode)
         numeric = quad.phi_numeric(rho, cfg).value
         f_val = magneton.symmetry_defect(rho)
         return ",".join(
@@ -126,24 +143,14 @@ def cmd_table(args) -> int:
     # all rows are computed before a single byte is written, so a failure
     # never leaves a truncated table behind
     rows = [row(rho) for rho in rhos]
-    lines = _manifest(
-        "table",
-        {
-            "rho": "[" + " ".join(_fmt(r) for r in rhos) + "]",
-            "t_max": _fmt(args.t_max),
-            "tol": _fmt(args.tol),
-            "max_depth": args.max_depth,
-        },
-        mode,
-    )
-    lines.append("rho,phi_numeric,phi_closed,abs_diff,symmetry_f")
-    lines.extend(rows)
-    _emit(args.out, lines)
+    params = {
+        "rho": "[" + " ".join(_fmt(r) for r in rhos) + "]",
+        "t_max": _fmt(args.t_max),
+        "tol": _fmt(args.tol),
+        "max_depth": args.max_depth,
+    }
+    _emit(args, params, ["rho,phi_numeric,phi_closed,abs_diff,symmetry_f", *rows])
     return 0
-
-
-def _coarse_grid(lo: float, hi: float, step: float) -> list[float]:
-    return [lo + i * step for i in range(_grid_count(lo, hi, step))]
 
 
 def _field_grid(coarse: list[float], lo: float, hi: float) -> list[float]:
@@ -170,8 +177,7 @@ def _field_grid(coarse: list[float], lo: float, hi: float) -> list[float]:
 
 
 def cmd_figure(args) -> int:
-    mode = _mode_from_flag(args.rh_mode)
-    name = args.name
+    name, mode = args.name, args.mode
     lo_d, hi_d, step_d = _FIGURE_DEFAULTS[name]
     lo = lo_d if args.lo is None else args.lo
     hi = hi_d if args.hi is None else args.hi
@@ -179,17 +185,8 @@ def cmd_figure(args) -> int:
     if not (step > 0.0) or hi <= lo:
         raise DomainError(f"bad grid: lo={lo!r} hi={hi!r} step={step!r}")
 
-    lines = _manifest(
-        "figure",
-        {"name": name, "lo": _fmt(lo), "hi": _fmt(hi), "step": _fmt(step)},
-        mode,
-    )
-
     if name == "phi":
-        lines.append("# potential phi(rho), closed form")
-        lines.append("rho,phi_closed")
-        for r in _coarse_grid(lo, hi, step):
-            lines.append(f"{_fmt(r)},{_fmt(magneton.phi_closed(r, mode))}")
+        rows = ((r, magneton.phi_closed(r, mode)) for r in _coarse_grid(lo, hi, step))
     elif name == "field":
         for edge in (lo, hi):
             if edge in magneton.JUMP_POINTS:
@@ -201,62 +198,37 @@ def cmd_figure(args) -> int:
         # interior grid points landing on a jump are plot filler, not an
         # explicit request: drop them, the one-sided offsets stand in
         coarse = [r for r in _coarse_grid(lo, hi, step) if r not in magneton.JUMP_POINTS]
-        grid = _field_grid(coarse, lo, hi)
-        lines.append(
-            "# field E = phi' (jumps excluded; refined grid and one-sided "
-            f"offsets at {_JUMP_OFFSET:g} flank each jump)"
-        )
-        lines.append("rho,field_E")
-        for r in grid:
-            lines.append(f"{_fmt(r)},{_fmt(magneton.field_E(r, mode))}")
-    elif name == "well":
+        rows = ((r, magneton.field_E(r, mode)) for r in _field_grid(coarse, lo, hi))
+    else:
         if abs((lo + hi) - 2.0) > 1e-12:
             raise DomainError(
-                "well grid must be symmetric about x = 1 (lo + hi = 2) so "
-                "that S(x) = S(2 - x) holds row for row"
+                f"{name} grid must be symmetric about x = 1 (lo + hi = 2) so "
+                "that the emitted curve mirrors row for row"
             )
-        # build the left half and mirror it; S(x) and S(2-x) average the
-        # same two potential values, so the mirrored rows are exact
-        left = [x for x in _coarse_grid(lo, 1.0, step) if x <= 1.0]
-        values = [(x, magneton.well_S(x, mode)) for x in left]
-        lines.append("# symmetric well S(x) = (phi(x-1/2) + phi(3/2-x))/2")
-        lines.append("x,well_S")
-        for x, s in values:
-            lines.append(f"{_fmt(x)},{_fmt(s)}")
-        for x, s in reversed(values):
-            mx = 2.0 - x
-            if mx > 1.0:
-                lines.append(f"{_fmt(mx)},{_fmt(s)}")
-    else:  # xi
-        if abs((lo + hi) - 2.0) > 1e-12:
-            raise DomainError(
-                "xi grid must be symmetric about x = 1 (lo + hi = 2) so the "
-                "emitted curve mirrors row for row"
-            )
-        # ln|xi(1+|x-1|)|: the line average of ln|xi| in the shifted
-        # coordinate x = rho + 1/2, continued across x = 1 by its exact
-        # mirror symmetry; under the half-line hypothesis it agrees with
-        # the potential route on (1/2, 3/2)
-        right = [x for x in _coarse_grid(1.0, hi, step)]
-        values = [(x, math.log(abs(specfun.xi(x)))) for x in right]
-        lines.append(
-            "# symmetrized log xi: ln|xi(1+|x-1|)|, the averaged log of the "
-            "completed zeta in the x = rho + 1/2 coordinate"
-        )
-        lines.append("x,sym_log_xi")
-        for x, v in reversed(values):
-            mx = 2.0 - x
-            if mx < 1.0:
-                lines.append(f"{_fmt(mx)},{_fmt(v)}")
-        for x, v in values:
-            lines.append(f"{_fmt(x)},{_fmt(v)}")
-    _emit(args.out, lines)
+        if name == "well":
+            # S(x) and S(2-x) average the same two potential values, so
+            # the mirrored rows are exact
+            half = [x for x in _coarse_grid(lo, 1.0, step) if x <= 1.0]
+            rows = [(x, magneton.well_S(x, mode)) for x in half]
+        else:
+            # ln|xi(1+|x-1|)|: the line average of ln|xi| in the shifted
+            # coordinate x = rho + 1/2, continued across x = 1 by its exact
+            # mirror symmetry; under the half-line hypothesis it agrees
+            # with the potential route on (1/2, 3/2)
+            rows = [(x, math.log(abs(specfun.xi(x)))) for x in _coarse_grid(1.0, hi, step)]
+        # one row per printed abscissa: x = 1 is its own mirror, and a grid
+        # point an ulp below 1 prints as "1" just as its mirror does
+        rows += [(2.0 - x, v) for x, v in rows if _fmt(2.0 - x) != _fmt(x)]
+        rows.sort()
+
+    params = {"name": name, "lo": _fmt(lo), "hi": _fmt(hi), "step": _fmt(step)}
+    body = [*_FIGURE_HEADERS[name], *(f"{_fmt(x)},{_fmt(v)}" for x, v in rows)]
+    _emit(args, params, body)
     return 0
 
 
 def cmd_constants(args) -> int:
-    mode = _mode_from_flag(args.rh_mode)
-    if mode is not magneton.RhMode.CONDITIONAL_RH:
+    if args.mode is not magneton.RhMode.CONDITIONAL_RH:
         raise RhModeError(
             "the jump constants are one-sided strip limits; rerun with "
             "--rh-mode conditional"
@@ -312,19 +284,16 @@ def cmd_constants(args) -> int:
         ("xi_at_x1", 1.022934630, abs(specfun.xi(x1)), 1e-6, ""),
     ]
 
-    lines = _manifest("constants", {}, mode)
-    lines.append("name,analytic,numeric,discrepancy,tag")
+    lines = ["name,analytic,numeric,discrepancy,tag"]
     failures = []
     for name, analytic, numeric, tol, tag in entries:
         disc = numeric - analytic
         tagtxt = "rh-conditional" if tag else "unconditional"
-        lines.append(
-            f"{name},{_fmt(analytic)},{_fmt(numeric)},{_fmt(disc)},{tagtxt}"
-        )
+        lines.append(f"{name},{_fmt(analytic)},{_fmt(numeric)},{_fmt(disc)},{tagtxt}")
         if abs(disc) > tol:
             failures.append((abs(disc) / tol, name, disc, tol))
     magneton.jump_at_one()  # runs its own extrapolated cross-check
-    _emit(args.out, lines)
+    _emit(args, {}, lines)
     if failures:
         _, name, disc, tol = max(failures)  # the worst by |disc| / tol
         raise CrossCheckError(
@@ -334,7 +303,6 @@ def cmd_constants(args) -> int:
 
 
 def cmd_taylor(args) -> int:
-    mode = _mode_from_flag(args.rh_mode)
     if args.order < 0 or args.order > 20:
         raise DomainError(f"order must be in [0, 20], got {args.order}")
     coeffs = taylor.compute_coefficients(
@@ -342,17 +310,7 @@ def cmd_taylor(args) -> int:
     )
     reference = taylor.rearranged_at_one_exact(args.order)
 
-    lines = _manifest(
-        "taylor",
-        {
-            "order": args.order,
-            "prime_limit": args.prime_limit,
-            "k_max": args.k_max,
-            "tail_budget": args.tail_budget,
-        },
-        mode,
-    )
-    lines.append("n,c_n,tail_bound_n")
+    lines = ["n,c_n,tail_bound_n"]
     for n, (cn, bn) in enumerate(zip(coeffs.c, coeffs.c_bounds)):
         lines.append(f"{n},{_fmt(cn)},{_fmt(bn)}")
     lines.append("quantity,prime_route,reference,note")
@@ -374,7 +332,8 @@ def cmd_taylor(args) -> int:
         f"c0_check,{_fmt(coeffs.c[0])},{_fmt(c0_direct)},"
         f"direct ln|xi(3/2)| gap {_fmt(coeffs.c[0] - c0_direct)}"
     )
-    _emit(args.out, lines)
+    params = {k: getattr(args, k) for k in ("order", "prime_limit", "k_max", "tail_budget")}
+    _emit(args, params, lines)
     return 0
 
 
@@ -391,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--rh-mode",
-        choices=("conditional", "outside-only"),
+        choices=_RH_MODES,
         default="conditional",
         help="strip values assume the half-line hypothesis (conditional) "
         "or are refused (outside-only)",
@@ -404,14 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
         "table", parents=[common], help="potential table at given rho points"
     )
     p_table.add_argument(
-        "--rho",
-        nargs="+",
-        required=True,
-        help="rho values and/or lo:hi:step ranges",
+        "--rho", nargs="+", required=True, help="rho values and/or lo:hi:step ranges"
     )
-    p_table.add_argument("--t-max", type=float, default=50.0)
-    p_table.add_argument("--tol", type=float, default=1e-8)
-    p_table.add_argument("--max-depth", type=int, default=40)
+    defaults = quad.QuadratureConfig()
+    p_table.add_argument("--t-max", type=float, default=defaults.t_max)
+    p_table.add_argument("--tol", type=float, default=defaults.abs_tol)
+    p_table.add_argument("--max-depth", type=int, default=defaults.max_depth)
     p_table.set_defaults(func=cmd_table)
 
     p_fig = sub.add_parser("figure", parents=[common], help="plot-ready figure data")
@@ -438,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.mode = _RH_MODES[args.rh_mode]
     try:
         return args.func(args)
     except (ConvergenceError, TruncationBudgetError) as exc:
@@ -448,10 +405,7 @@ def main(argv=None) -> int:
     except CrossCheckError as exc:
         print(f"cross-check failure: {exc}", file=sys.stderr)
         return 4
-    except MagnetonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (MagnetonError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import math
 import shutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from magneton import cli, magneton, quad
 
@@ -163,6 +166,17 @@ def test_table_out_file(tmp_path, capsys):
     assert "rho,phi_numeric" in text
 
 
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["no-parent", "directory"])
+def test_unwritable_out_is_a_usage_error(tmp_path, target):
+    argv = ["figure", "phi", "--lo", "0", "--hi", "1", "--step", "0.1"]
+    proc = run_module(*argv, "--out", str(tmp_path / target))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot write --out")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_table_payload_deterministic(capsys):
     # one thread, fixed panel order: a rerun differs only in the timestamp
     argv = ["table", "--rho", "0.8", "2", "0.5", "--tol", "1e-6"]
@@ -273,6 +287,39 @@ def test_figure_xi(capsys):
     for xs, vs in by_x.items():
         mirror = f"{2.0 - float(xs):.12g}"
         assert by_x[mirror] == vs
+
+
+@settings(max_examples=50, deadline=None)
+@given(name=st.sampled_from(["well", "xi"]), rows=st.integers(2, 200), jitter=st.integers(-4, 4))
+# the grid point nominally at x = 1 is computed an ulp below it, so it and
+# its mirror both print as "1": one row must stand for both
+@example(name="well", rows=74, jitter=3)
+def test_figure_mirror_rows_pair_up(name, rows, jitter):
+    # a symmetric grid on the 1e-6 lattice, drawn like the closed-figures
+    # benchmark's but with at most about 200 rows
+    units = round(2.0 / rows / 1e-6) + jitter
+    step = round(units * 1e-6, 6)
+    half = round(rows // 2 * step, 6)
+    lo, hi = round(1.0 - half, 6), round(1.0 + half, 6)
+    argv = ["figure", name, f"--lo={lo!r}", f"--hi={hi!r}", f"--step={step!r}"]
+    outs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        outs.append(buf.getvalue())
+    assert drop_timestamp(outs[0]) == drop_timestamp(outs[1])
+    _, body = parse_csv(outs[0])
+    keys = [r[0] for r in body]
+    xs = [float(k) for k in keys]
+    assert all(a < b for a, b in zip(xs, xs[1:]))
+    assert len(set(keys)) == len(keys)
+    # row i and row n-1-i are mirror images: the same printed value at
+    # abscissae summing to 2.  (Formatting 2 - x instead would print the
+    # float noise of a near-zero difference, e.g. 2 - 1.999996.)
+    for (xa, va), (xb, vb) in zip(body, reversed(body)):
+        assert va == vb
+        assert abs(float(xa) + float(xb) - 2.0) < 1e-12
 
 
 def test_figure_unknown_name(capsys):

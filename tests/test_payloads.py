@@ -25,7 +25,17 @@ COMMANDS = {
     "figure_field": ["figure", "field"],
     "figure_well": ["figure", "well"],
     "figure_xi": ["figure", "xi"],
+    # off-default grids, whose points sit a few ulp off their printed
+    # decimals; the field grid's coarse points land on the jumps at 1/2 and 1
+    "figure_well_step07": ["figure", "well", "--lo", "0.3", "--hi", "1.7", "--step", "0.07"],
+    "figure_xi_step07": ["figure", "xi", "--lo", "0.3", "--hi", "1.7", "--step", "0.07"],
+    "figure_field_narrow": ["figure", "field", "--lo", "-0.3", "--hi", "1.2", "--step", "0.05"],
     "table": ["table", "--rho", "0.2", "0.5", "0.8", "2", "1"],
+    # pin the `# rh_mode:` manifest line of the outside-only mode
+    "table_outside": ["table", "--rho", "2", "-0.5", "--rh-mode", "outside-only"],
+    "taylor_3_outside": [
+        "taylor", "--order", "3", "--prime-limit", "100000", "--rh-mode", "outside-only",
+    ],
     "taylor_13": ["taylor", "--order", "13", "--prime-limit", "1000000"],
     "taylor_20": ["taylor", "--order", "20", "--prime-limit", "1000000"],
     "taylor_5_kmax7": [

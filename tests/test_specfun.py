@@ -3,6 +3,7 @@ arbitrary-precision references and basic structural identities."""
 
 import cmath
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -98,6 +99,25 @@ def test_log_gamma_poles():
     for x in (0.0, -1.0, -7.0):
         with pytest.raises(PoleError):
             specfun.log_gamma(x)
+
+
+@pytest.mark.parametrize("re", [-1e20, -1e6])
+def test_log_gamma_refuses_far_left(re):
+    # the unit shift to Re >= 9 takes 0.3 s from -1e6 and never ends from
+    # -1e20, where w + 1 == w; the call runs in a thread so that a missing
+    # refusal fails here instead of hanging the suite
+    refused = []
+
+    def call():
+        try:
+            specfun.log_gamma(complex(re, 1.0))
+        except DomainError:
+            refused.append(True)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(1.0)
+    assert refused
 
 
 def test_log_gamma_recurrence():
