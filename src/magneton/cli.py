@@ -5,9 +5,12 @@ prime-sum Taylor report.
 Output is UTF-8 comma-separated text with a '#'-prefixed manifest header
 (command, parameters, rh mode, version, timestamp).  Identical flags
 reproduce byte-identical payloads; only the timestamp line varies.  Exit
-codes: 0 success, 2 bad flags, domain/mode violations or a value beyond
-the double range, 3 numeric non-convergence or truncation budget, 4
-cross-check failure.
+codes follow the classes of `errors`: 0 success; 2 DomainError (bad
+input, a pole, the zeta window, a jump point, an RH-mode refusal, a size
+budget, an unwritable --out), any other MagnetonError, a bad flag value
+(ValueError) or a value beyond the double range (OverflowError); 3
+ConvergenceError (numeric non-convergence or truncation budget); 4
+CrossCheckError.
 """
 
 from __future__ import annotations
@@ -18,16 +21,7 @@ import math
 import sys
 
 from . import __version__, diagnostics, magneton, quad, specfun, taylor
-from .errors import (
-    CapacityError,
-    ConvergenceError,
-    CrossCheckError,
-    DomainError,
-    JumpPointError,
-    MagnetonError,
-    RhModeError,
-    TruncationBudgetError,
-)
+from .errors import ConvergenceError, CrossCheckError, DomainError, MagnetonError
 
 _GAMMA = specfun.EULER_GAMMA
 _JUMP_OFFSET = 1e-6
@@ -38,23 +32,22 @@ _RH_MODES = {
     "conditional": magneton.RhMode.CONDITIONAL_RH,
     "outside-only": magneton.RhMode.OUTSIDE_STRIP_ONLY,
 }
-_FIGURE_DEFAULTS = {
-    # lo, hi, step
-    "phi": (-2.0, 3.0, 0.01),
-    "field": (-2.0, 3.0, 0.01),
-    "well": (0.0, 2.0, 0.01),
-    "xi": (0.0, 2.0, 0.01),
-}
-_FIGURE_HEADERS = {
-    # comment line, column header
-    "phi": ("# potential phi(rho), closed form", "rho,phi_closed"),
+_FIGURES = {
+    # name: default (lo, hi, step), comment line, column header
+    "phi": ((-2.0, 3.0, 0.01), "# potential phi(rho), closed form", "rho,phi_closed"),
     "field": (
+        (-2.0, 3.0, 0.01),
         "# field E = phi' (jumps excluded; refined grid and one-sided "
         f"offsets at {_JUMP_OFFSET:g} flank each jump)",
         "rho,field_E",
     ),
-    "well": ("# symmetric well S(x) = (phi(x-1/2) + phi(3/2-x))/2", "x,well_S"),
+    "well": (
+        (0.0, 2.0, 0.01),
+        "# symmetric well S(x) = (phi(x-1/2) + phi(3/2-x))/2",
+        "x,well_S",
+    ),
     "xi": (
+        (0.0, 2.0, 0.01),
         "# symmetrized log xi: ln|xi(1+|x-1|)|, the averaged log of the "
         "completed zeta in the x = rho + 1/2 coordinate",
         "x,sym_log_xi",
@@ -86,14 +79,14 @@ def _emit(args, params: dict, body: list[str]):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     except OSError as exc:
-        raise MagnetonError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
+        raise DomainError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
 
 
 def _grid_count(lo: float, hi: float, step: float) -> int:
     """Number of points of the inclusive grid lo, lo + step, ... <= hi."""
     span = (hi - lo) / step + 1e-9
     if not span < _MAX_ROWS:  # also refuses inf and nan
-        raise CapacityError(
+        raise DomainError(
             f"grid {lo:g}..{hi:g} step {step:g} exceeds {_MAX_ROWS} rows "
             "or is not finite"
         )
@@ -117,7 +110,7 @@ def _parse_rho_spec(tokens: list[str]) -> list[float]:
                 raise DomainError(f"bad range {tok!r}: need lo <= hi, step > 0")
             grid = _coarse_grid(lo, hi, step)
             if len(out) + len(grid) > _MAX_ROWS:
-                raise CapacityError(f"rho list exceeds {_MAX_ROWS} rows")
+                raise DomainError(f"rho list exceeds {_MAX_ROWS} rows")
             out.extend(grid)
         else:
             out.append(float(tok))
@@ -178,7 +171,7 @@ def _field_grid(coarse: list[float], lo: float, hi: float) -> list[float]:
 
 def cmd_figure(args) -> int:
     name, mode = args.name, args.mode
-    lo_d, hi_d, step_d = _FIGURE_DEFAULTS[name]
+    (lo_d, hi_d, step_d), *headers = _FIGURES[name]
     lo = lo_d if args.lo is None else args.lo
     hi = hi_d if args.hi is None else args.hi
     step = step_d if args.step is None else args.step
@@ -190,15 +183,16 @@ def cmd_figure(args) -> int:
     elif name == "field":
         for edge in (lo, hi):
             if edge in magneton.JUMP_POINTS:
-                raise JumpPointError(
+                raise DomainError(
                     f"grid endpoint rho = {edge:g} sits on a jump of E; the "
                     f"derivative is one-sided there, so end the grid at an "
                     f"offset such as {edge:g}-1e-6 or {edge:g}+1e-6 instead"
                 )
         # interior grid points landing on a jump are plot filler, not an
-        # explicit request: drop them, the one-sided offsets stand in
-        coarse = [r for r in _coarse_grid(lo, hi, step) if r not in magneton.JUMP_POINTS]
-        rows = ((r, magneton.field_E(r, mode)) for r in _field_grid(coarse, lo, hi))
+        # explicit request: _field_grid drops them, the one-sided offsets
+        # stand in
+        grid = _field_grid(_coarse_grid(lo, hi, step), lo, hi)
+        rows = ((r, magneton.field_E(r, mode)) for r in grid)
     else:
         if abs((lo + hi) - 2.0) > 1e-12:
             raise DomainError(
@@ -222,14 +216,14 @@ def cmd_figure(args) -> int:
         rows.sort()
 
     params = {"name": name, "lo": _fmt(lo), "hi": _fmt(hi), "step": _fmt(step)}
-    body = [*_FIGURE_HEADERS[name], *(f"{_fmt(x)},{_fmt(v)}" for x, v in rows)]
+    body = [*headers, *(f"{_fmt(x)},{_fmt(v)}" for x, v in rows)]
     _emit(args, params, body)
     return 0
 
 
 def cmd_constants(args) -> int:
     if args.mode is not magneton.RhMode.CONDITIONAL_RH:
-        raise RhModeError(
+        raise DomainError(
             "the jump constants are one-sided strip limits; rerun with "
             "--rh-mode conditional"
         )
@@ -372,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=cmd_table)
 
     p_fig = sub.add_parser("figure", parents=[common], help="plot-ready figure data")
-    p_fig.add_argument("name", choices=tuple(_FIGURE_DEFAULTS))
+    p_fig.add_argument("name", choices=tuple(_FIGURES))
     p_fig.add_argument("--lo", type=float, default=None)
     p_fig.add_argument("--hi", type=float, default=None)
     p_fig.add_argument("--step", type=float, default=None)
@@ -399,7 +393,7 @@ def main(argv=None) -> int:
     args.mode = _RH_MODES[args.rh_mode]
     try:
         return args.func(args)
-    except (ConvergenceError, TruncationBudgetError) as exc:
+    except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CrossCheckError as exc:

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy shared by every module: one class per CLI exit code.
 
-All errors derive from MagnetonError so callers can catch the family.
-The CLI maps subfamilies onto exit codes: precondition-style failures
-exit 2, non-convergence exits 3, cross-check mismatches exit 4.
+All errors derive from MagnetonError so callers can catch the family, and
+the message names the cause (a pole, the zeta window, a jump point, the
+strip, a size or tail budget).  The CLI maps the classes onto exit codes:
+DomainError (and a bare MagnetonError) exits 2, ConvergenceError exits 3,
+CrossCheckError exits 4.
 """
 
 
@@ -11,35 +13,14 @@ class MagnetonError(Exception):
 
 
 class DomainError(MagnetonError):
-    """Argument outside the mathematical domain of the operation."""
-
-
-class PoleError(DomainError):
-    """Evaluation requested exactly at a pole."""
-
-
-class WindowExceededError(DomainError):
-    """|Im s| beyond the supported accuracy window of the zeta evaluator."""
-
-
-class CapacityError(MagnetonError):
-    """Requested work exceeds a configured memory or size budget."""
-
-
-class TruncationBudgetError(MagnetonError):
-    """Reported truncation tail bound exceeds the caller's ceiling."""
-
-
-class RhModeError(MagnetonError):
-    """Closed-form query inside the critical strip while the mode forbids it."""
-
-
-class JumpPointError(DomainError):
-    """Derivative requested exactly at a jump point; use a one-sided variant."""
+    """Input the operation refuses: outside its mathematical domain or the
+    evaluator's window, at a pole or jump point, inside the critical strip
+    while the RH mode forbids it, or beyond a size budget."""
 
 
 class ConvergenceError(MagnetonError):
-    """Iteration or refinement budget exhausted before reaching tolerance."""
+    """Iteration, refinement or truncation budget exhausted before reaching
+    tolerance."""
 
 
 class CrossCheckError(MagnetonError):

@@ -22,7 +22,7 @@ import math
 from enum import Enum
 
 from . import specfun
-from .errors import CrossCheckError, DomainError, JumpPointError, RhModeError
+from .errors import CrossCheckError, DomainError
 
 _GAMMA = specfun.EULER_GAMMA
 _LN_PI = specfun.LN_PI
@@ -45,7 +45,7 @@ def _check_finite(rho: float) -> float:
 
 def _gate_strip(mode: RhMode, rho: float, what: str):
     if mode is RhMode.OUTSIDE_STRIP_ONLY and 0.0 < rho < 1.0:
-        raise RhModeError(
+        raise DomainError(
             f"{what} at rho = {rho:g} lies inside the critical strip and is "
             "only defined conditionally there; use the conditional mode"
         )
@@ -121,7 +121,7 @@ def field_E(rho, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
     use field_E_onesided there."""
     rho = _check_finite(rho)
     if rho in JUMP_POINTS:
-        raise JumpPointError(
+        raise DomainError(
             f"phi' jumps at rho = {rho:g}; query field_E_onesided({rho:g}, '+') "
             "or ('-') instead"
         )
@@ -161,7 +161,7 @@ def field_E_onesided(point, side: str, mode: RhMode = RhMode.CONDITIONAL_RH) -> 
         )
     in_strip = (point, side) not in ((0.0, "-"), (1.0, "+"))
     if in_strip and mode is RhMode.OUTSIDE_STRIP_ONLY:
-        raise RhModeError(
+        raise DomainError(
             f"the {side} limit at rho = {point:g} approaches through the strip"
         )
     zl32 = _re(specfun.zeta_logderiv(1.5))
@@ -249,7 +249,7 @@ def volchkov_delta(mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
     """delta = phi'(1-) - phi'(1/2+) - phi'(1+), assembled from the actual
     one-sided limits; equals pi*(3 - gamma) analytically."""
     if mode is not RhMode.CONDITIONAL_RH:
-        raise RhModeError("the aggregate uses strip limits; conditional mode only")
+        raise DomainError("the aggregate uses strip limits; conditional mode only")
     return (
         field_E_onesided(1.0, "-")
         - field_E_onesided(0.5, "+")

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, PoleError, WindowExceededError
+from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606065
 LN_PI = math.log(math.pi)
@@ -61,15 +61,15 @@ def _as_complex(s) -> complex:
 def _in_window(s) -> complex:
     z = _as_complex(s)
     if z.real < RE_MIN:
-        raise WindowExceededError(
+        raise DomainError(
             f"Re s = {z.real:g} lies left of the supported window Re s >= {RE_MIN:g}"
         )
     if z.real > RE_MAX:
-        raise WindowExceededError(
+        raise DomainError(
             f"Re s = {z.real:g} lies right of the supported window Re s <= {RE_MAX:g}"
         )
     if abs(z.imag) > IM_WINDOW:
-        raise WindowExceededError(
+        raise DomainError(
             f"|Im s| = {abs(z.imag):g} exceeds the supported window {IM_WINDOW:g}"
         )
     return z
@@ -135,8 +135,8 @@ def log_abs_zeta_line(rho: float, t) -> np.ndarray:
     the order and rounding of the scalar path, and the n^-s terms of one
     truncation length are summed as whole rows, so every value equals
     `log_abs_zeta(complex(rho, t))` to the last bit.  Errors and the zero
-    signal are the scalar ones: PoleError at s = 1, WindowExceededError
-    outside the window, and -inf where |zeta| < _ZERO_FLOOR."""
+    signal are the scalar ones: DomainError at the pole s = 1 and outside
+    the window, and -inf where |zeta| < _ZERO_FLOOR."""
     rho = float(rho)
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 1:
@@ -147,7 +147,7 @@ def log_abs_zeta_line(rho: float, t) -> np.ndarray:
         return np.empty(0)
     _in_window(complex(rho, np.abs(t).max()))
     if rho == 1.0 and (t == 0.0).any():
-        raise PoleError("zeta has its pole at s = 1")
+        raise DomainError("zeta has its pole at s = 1")
 
     n_trunc = np.maximum(30.0, np.ceil(1.3 * np.abs(t))).astype(np.intp)
     s = np.empty(t.shape, dtype=np.complex128)
@@ -224,7 +224,7 @@ def zeta_reg(s) -> complex:
 def zeta(s) -> complex:
     z = _in_window(s)
     if z == 1.0:
-        raise PoleError("zeta has its pole at s = 1")
+        raise DomainError("zeta has its pole at s = 1")
     reg, _ = _reg_em(z, False)
     return reg / (z - 1.0)
 
@@ -234,7 +234,7 @@ def zeta_logderiv(s) -> complex:
     (no finite differences)."""
     z = _in_window(s)
     if z == 1.0:
-        raise PoleError("zeta'/zeta has a pole at s = 1")
+        raise DomainError("zeta'/zeta has a pole at s = 1")
     reg, dreg = _reg_em(z, True)
     return dreg / reg - 1.0 / (z - 1.0)
 
@@ -250,7 +250,7 @@ def log_abs_zeta(s) -> float:
     to -inf rather than raising; the quadrature layer treats that as a spike."""
     z = _in_window(s)
     if z == 1.0:
-        raise PoleError("zeta has its pole at s = 1")
+        raise DomainError("zeta has its pole at s = 1")
     reg, _ = _reg_em(z, False)
     az = abs(reg / (z - 1.0))
     if az < _ZERO_FLOOR:
@@ -275,7 +275,7 @@ def log_gamma(s) -> complex:
     so does Re s below -1e4."""
     z = _as_complex(s)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
-        raise PoleError(f"log_gamma pole at {z.real:g}")
+        raise DomainError(f"log_gamma pole at {z.real:g}")
     if z.real < _LOG_GAMMA_RE_MIN:
         raise DomainError(f"log_gamma needs Re s >= {_LOG_GAMMA_RE_MIN:g}, got {z.real:g}")
     shift = 0j
@@ -348,7 +348,7 @@ def xi(s) -> complex:
     normalization with xi(0) = xi(1) = 1.  Computed through the entire
     product 2 * pi^(-s/2) * Gamma(s/2 + 1) * (s-1)*zeta(s), so the removable
     points s = 0, 1 need no special casing.  The trivial zero s = -2 hits
-    the Gamma pole of this factorization and raises PoleError; the others
+    the Gamma pole of this factorization and raises DomainError; the others
     lie outside the window.  Values beyond the double range (real s from
     about 433 on) raise OverflowError."""
     z = _in_window(s)
@@ -368,7 +368,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     if not isinstance(limit, (int, np.integer)) or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if limit + 1 > _SIEVE_BUDGET:
-        raise CapacityError(
+        raise DomainError(
             f"sieve to {limit} needs ~{limit + 1} bytes, budget is {_SIEVE_BUDGET}"
         )
     flags = np.ones(limit + 1, dtype=bool)
@@ -431,11 +431,3 @@ def prime_tail_estimate(n: int, y: float, limit: float) -> float:
     if n == 0:
         return exp_integral_e1(z)
     return upper_gamma_int(n, z) / (y - 1.0) ** n
-
-
-# Relative slack on the integral-test tail estimate.  The estimate rides the
-# smooth prime density; the residual it cannot see is the prime-count
-# fluctuation, measured at a few 1e-4 of the tail across limits 1e6..1e7 in
-# calibration runs, so 5e-4 covers it with margin.
-TAIL_FLUCTUATION_REL = 5e-4
-

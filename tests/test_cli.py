@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from magneton import cli, magneton, quad
+from magneton.errors import ConvergenceError, CrossCheckError, DomainError, MagnetonError
 
 GAMMA = 0.5772156649015328606065
 
@@ -108,6 +109,30 @@ def test_table_panel_cap(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "above the cap 64" in err and "depth" in err and "1e-10" in err
+
+
+@pytest.mark.parametrize(
+    "exc,code,line",
+    [
+        (DomainError("stub"), 2, "error: stub"),
+        (ConvergenceError("stub"), 3, "error: stub"),
+        (CrossCheckError("stub"), 4, "cross-check failure: stub"),
+        (MagnetonError("stub"), 2, "error: stub"),
+        (OverflowError("stub"), 2, "error: numeric overflow (stub)"),
+        (ValueError("stub"), 2, "error: stub"),
+    ],
+    ids=["domain", "convergence", "cross-check", "magneton", "overflow", "value"],
+)
+def test_exit_code_per_error_class(monkeypatch, capsys, exc, code, line):
+    # one exception class per exit code: main tells failures apart by
+    # these classes alone, and the message carries the cause
+    assert MagnetonError.__subclasses__() == [DomainError, ConvergenceError, CrossCheckError]
+
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(magneton, "phi_closed", fail)
+    assert run(["table", "--rho", "2"], capsys) == (code, "", line + "\n")
 
 
 def test_table_unreachable_tolerance_stops():

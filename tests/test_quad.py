@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from magneton import quad, specfun
-from magneton.errors import (
-    ConvergenceError,
-    DomainError,
-    PoleError,
-    WindowExceededError,
-)
+from magneton.errors import ConvergenceError, DomainError
 
 # Frozen half-line averages at t_max = 50, computed independently at 30
 # significant digits with the integration interval split at every zeta
@@ -204,11 +199,11 @@ def test_line_kernel_matches_scalar(rng, rho):
 
 
 def test_line_kernel_error_signals(monkeypatch):
-    with pytest.raises(PoleError):
+    with pytest.raises(DomainError, match="pole"):
         specfun.log_abs_zeta_line(1.0, np.array([3.0, 0.0]))
-    with pytest.raises(WindowExceededError):
+    with pytest.raises(DomainError, match="window"):
         specfun.log_abs_zeta_line(0.5, np.array([10.0, -200.5]))
-    with pytest.raises(WindowExceededError):  # left of Re s = -3
+    with pytest.raises(DomainError, match="window"):  # left of Re s = -3
         specfun.log_abs_zeta_line(-3.5, np.array([0.0, 10.0]))
     with pytest.raises(DomainError):
         specfun.log_abs_zeta_line(0.5, np.array([np.nan]))

@@ -7,9 +7,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from magneton import specfun
-from magneton.errors import CapacityError, DomainError, PoleError, WindowExceededError
+from magneton.errors import DomainError
 
 GAMMA = specfun.EULER_GAMMA
 
@@ -56,9 +57,9 @@ def test_zeta_near_window_edge():
 
 
 def test_window_exceeded():
-    with pytest.raises(WindowExceededError):
+    with pytest.raises(DomainError, match="window"):
         specfun.zeta(complex(0.5, 201.0))
-    with pytest.raises(WindowExceededError):
+    with pytest.raises(DomainError, match="window"):
         specfun.zeta(complex(2.0, -250.0))
 
 
@@ -97,7 +98,7 @@ def test_log_gamma_positive_axis():
 
 def test_log_gamma_poles():
     for x in (0.0, -1.0, -7.0):
-        with pytest.raises(PoleError):
+        with pytest.raises(DomainError, match="pole"):
             specfun.log_gamma(x)
 
 
@@ -173,6 +174,30 @@ def test_xi_functional_equation(rng):
         assert abs(a - b) <= 1e-10 * max(a, b), s
 
 
+# ordinates of the nontrivial zeros below 30
+XI_ZEROS = (14.134725141734693, 21.022039638771555, 25.010857580145688)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1.5, 2.5), st.floats(-30.0, 30.0))
+@example(-1.4915, 0.0)  # the measured worst, left of Re s = -1
+@example(0.0, 0.0)
+@example(0.5, 0.0)
+@example(2.5, -30.0)
+def test_xi_functional_equation_property(re, im):
+    s = complex(re, im)
+    # within 1e-3 of a zero |xi| is itself a cancellation and the relative
+    # gap reads the zero's depth, not the equation: 1.8e-8 at 1e-6 off it
+    assume(all(abs(s - complex(0.5, g)) > 1e-3 for z in XI_ZEROS for g in (z, -z)))
+    # relative 1e-10 while both real parts stay >= -1; further left the
+    # tolerance follows the kernel's documented loss, 100x per unit of Re s
+    # (measured 5.4e-12 at Re s = -1 and 1.4e-10 at -1.49)
+    tol = 1e-10 * 100.0 ** max(0.0, -1.0 - min(re, 1.0 - re))
+    a = abs(specfun.xi(s))
+    b = abs(specfun.xi(1.0 - s))
+    assert abs(a - b) <= tol * max(a, b), s
+
+
 def test_zeta_logderiv_against_difference():
     h = 1e-6
     for s in (2.5, 3.0 + 11.0j, 1.5):
@@ -190,7 +215,7 @@ def test_sieve_count_1e6():
 
 
 def test_sieve_capacity():
-    with pytest.raises(CapacityError):
+    with pytest.raises(DomainError, match="budget"):
         specfun.sieve_primes(10**11)
 
 
@@ -220,9 +245,9 @@ def test_prime_tail_estimate_shrinks():
 )
 def test_left_of_window_refused(fn):
     # the fixed-length Euler-Maclaurin sum cancels catastrophically there
-    with pytest.raises(WindowExceededError):
+    with pytest.raises(DomainError, match="window"):
         fn(complex(-3.5, 1.0))
-    with pytest.raises(WindowExceededError):
+    with pytest.raises(DomainError, match="window"):
         fn(-10.5)
 
 
