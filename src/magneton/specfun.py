@@ -9,14 +9,16 @@ catastrophically.  On the right ln|zeta| is exactly 0.0 long before the
 edge, and from Re s of about 5e23 on the sums overflow to NaN.
 The entire function (s-1)*zeta(s) is exposed separately because every
 closed form downstream needs it finite and positive through s = 1.
+Only `sieve_primes` imports numpy.  The scalar path keeps the bits of the
+numpy evaluation it replaced: `_pairwise_sum` adds in numpy's order and
+`_cdiv` divides as numpy does.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-
-import numpy as np
+from numbers import Integral
 
 from .errors import DomainError
 
@@ -48,7 +50,7 @@ _B_OVER_FACT = tuple(b / math.factorial(2 * (k + 1)) for k, b in enumerate(_BERN
 _STIRLING = tuple(b / ((2 * (k + 1)) * (2 * (k + 1) - 1)) for k, b in enumerate(_BERN))
 
 _MAX_N = max(30, math.ceil(1.3 * IM_WINDOW)) + 1
-_LOGN = np.log(np.arange(1, _MAX_N + 1, dtype=np.float64))
+_LOGN = tuple(math.log(n) for n in range(1, _MAX_N + 1))
 
 
 def _as_complex(s) -> complex:
@@ -75,22 +77,63 @@ def _in_window(s) -> complex:
     return z
 
 
+def _pairwise_sum(a: list):
+    """Sum of the list a, added in the order of numpy's `.sum()` of a
+    complex128 array: a run of more than 64 is halved, the cut rounded
+    down to a multiple of 4; a shorter one goes through four interleaved
+    accumulators and a sequential tail.  Every sum here has at least 29
+    terms, so numpy's branch below 4 is never needed."""
+    n = len(a)
+    if n > 64:
+        mid = (n - n % 8) // 2
+        return _pairwise_sum(a[:mid]) + _pairwise_sum(a[mid:])
+    top = n - n % 4
+    r0, r1, r2, r3 = a[:4]
+    for i in range(4, top, 4):
+        r0 += a[i]
+        r1 += a[i + 1]
+        r2 += a[i + 2]
+        r3 += a[i + 3]
+    out = (r0 + r1) + (r2 + r3)
+    for v in a[top:]:
+        out += v
+    return out
+
+
+def _cdiv(a: complex, b: complex) -> complex:
+    """a / b for a finite b, rounded as numpy divides complex128: Smith's
+    method with one reciprocal.  Python's `/` divides twice and can differ
+    in the last bit."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    if abs(br) >= abs(bi):
+        if br == 0.0:  # b == 0: numpy's inf or nan, without its warning
+            return complex(*(x * math.inf if x else math.nan for x in (ar, ai)))
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+
+
 def _reg_em(s: complex, want_deriv: bool):
     """Euler-Maclaurin evaluation of reg(s) = (s-1)*zeta(s) and optionally
-    its s-derivative.  reg is entire and equals 1 at s = 1 exactly."""
+    its s-derivative.  reg is entire and equals 1 at s = 1 exactly.  On the
+    real axis the same steps run in float arithmetic, which rounds the real
+    parts as the complex steps do in about half the time."""
+    s, exp = (s.real, math.exp) if s.imag == 0.0 else (s, cmath.exp)
     n_trunc = max(30, math.ceil(1.3 * abs(s.imag)))
     logn = _LOGN[: n_trunc - 1]          # n = 1 .. N-1
-    pw = np.exp(-s * logn)               # n^-s
-    base = pw.sum()
+    pw = [exp(-s * v) for v in logn]     # n^-s
+    base = _pairwise_sum(pw)
 
     ln_big = _LOGN[n_trunc - 1]
-    n_pow_ms = cmath.exp(-s * ln_big)    # N^-s
+    n_pow_ms = exp(-s * ln_big)          # N^-s
 
     # corrections: sum_k B_2k/(2k)! * (s)_(2k-1) * N^(1-2k-s), k = 1..7
-    corr = 0j
-    dcorr = 0j
+    corr = dcorr = 0.0
     poch = s                             # (s)_(2k-1), grown two factors a round
-    dpoch = 1.0 + 0j
+    dpoch = 1.0
     npow = n_pow_ms / n_trunc            # N^(-s-1)
     for k, coef in enumerate(_B_OVER_FACT):
         if k:
@@ -104,116 +147,15 @@ def _reg_em(s: complex, want_deriv: bool):
             dcorr += coef * npow * (dpoch - poch * ln_big)
 
     inner = base + n_pow_ms / 2.0 + corr
-    n_pow_1ms = cmath.exp((1.0 - s) * ln_big)
+    n_pow_1ms = exp((1.0 - s) * ln_big)
     reg = (s - 1.0) * inner + n_pow_1ms
     if not want_deriv:
-        return reg, None
+        return complex(reg), None
 
-    dbase = -(logn * pw).sum()
+    dbase = -_pairwise_sum([v * p for v, p in zip(logn, pw)])
     dinner = dbase - ln_big * n_pow_ms / 2.0 + dcorr
     dreg = inner + (s - 1.0) * dinner - ln_big * n_pow_1ms
-    return reg, dreg
-
-
-# Rows of the n^-s table built per array pass in log_abs_zeta_line; caps
-# the temporary at 64 x 260 complex values (about 270 kB).
-_LINE_CHUNK = 64
-
-
-def _cmul(ar, ai, br, bi):
-    # complex product rounded as Python's complex type rounds it: four
-    # products and two sums (numpy's complex array product may fuse them)
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def log_abs_zeta_line(rho: float, t) -> np.ndarray:
-    """ln|zeta(rho + it)| at every t of a 1-D array.
-
-    The Euler-Maclaurin sum of `_reg_em` (same truncation max(30,
-    ceil(1.3|t|)), same `_LOGN`, same `_B_OVER_FACT` corrections) run as
-    array passes.  Each complex step is spelled out in real arithmetic in
-    the order and rounding of the scalar path, and the n^-s terms of one
-    truncation length are summed as whole rows, so every value equals
-    `log_abs_zeta(complex(rho, t))` to the last bit.  Errors and the zero
-    signal are the scalar ones: DomainError at the pole s = 1 and outside
-    the window, and -inf where |zeta| < _ZERO_FLOOR."""
-    rho = float(rho)
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 1:
-        raise DomainError(f"t must be a 1-D array, got shape {t.shape}")
-    if not (math.isfinite(rho) and np.isfinite(t).all()):
-        raise DomainError(f"non-finite argument on the line rho = {rho!r}")
-    if not t.size:
-        return np.empty(0)
-    _in_window(complex(rho, np.abs(t).max()))
-    if rho == 1.0 and (t == 0.0).any():
-        raise DomainError("zeta has its pole at s = 1")
-
-    n_trunc = np.maximum(30.0, np.ceil(1.3 * np.abs(t))).astype(np.intp)
-    s = np.empty(t.shape, dtype=np.complex128)
-    s.real = rho
-    s.imag = t
-
-    # base sum over n = 1 .. N-1, for rows of equal N at most _LINE_CHUNK at
-    # a time: numpy sums each row of a 2-D array exactly as it sums the same
-    # terms in 1-D (zero-padded rows of mixed N, or reduceat, would not)
-    order = np.argsort(n_trunc, kind="stable")
-    n_sorted = n_trunc[order]
-    starts = np.flatnonzero(np.diff(n_sorted, prepend=0)).tolist()
-    minus_s = -s
-    sums = []
-    for g0, g1 in zip(starts, [*starts[1:], t.size]):
-        logn = _LOGN[: n_sorted[g0] - 1]
-        for c0 in range(g0, g1, _LINE_CHUNK):
-            rows = order[c0 : min(c0 + _LINE_CHUNK, g1)]
-            sums.append(np.exp(minus_s[rows, None] * logn).sum(axis=1))
-    base = np.empty_like(s)
-    base[order] = np.concatenate(sums)
-
-    # N^-s and N^(1-s) through cmath.exp, as the scalar path computes them
-    n_big = n_trunc.astype(np.float64)
-    ln_big = _LOGN[n_trunc - 1]
-    arg = np.empty_like(s)
-    arg.imag = -t * ln_big
-    arg.real = -rho * ln_big
-    n_pow_ms = np.array(list(map(cmath.exp, arg.tolist())), dtype=np.complex128)
-    arg.real = (1.0 - rho) * ln_big
-    n_pow_1ms = np.array(list(map(cmath.exp, arg.tolist())), dtype=np.complex128)
-
-    # corrections, k = 1..7, accumulated in the scalar loop's order
-    corr_r = np.zeros_like(t)
-    corr_i = np.zeros_like(t)
-    poch_r = np.full_like(t, rho)
-    poch_i = t
-    npow_r = n_pow_ms.real / n_big
-    npow_i = n_pow_ms.imag / n_big
-    n_sq = n_big * n_big
-    for k, coef in enumerate(_B_OVER_FACT):
-        if k:
-            for j in (2 * k - 1, 2 * k):
-                poch_r, poch_i = _cmul(poch_r, poch_i, rho + j, t)
-            npow_r = npow_r / n_sq
-            npow_i = npow_i / n_sq
-        term_r, term_i = _cmul(coef * poch_r, coef * poch_i, npow_r, npow_i)
-        corr_r = corr_r + term_r
-        corr_i = corr_i + term_i
-
-    inner_r = base.real + n_pow_ms.real / 2.0 + corr_r
-    inner_i = base.imag + n_pow_ms.imag / 2.0 + corr_i
-    reg_r, reg_i = _cmul(rho - 1.0, t, inner_r, inner_i)
-    reg = np.empty_like(s)
-    reg.real = reg_r + n_pow_1ms.real
-    reg.imag = reg_i + n_pow_1ms.imag
-    # numpy's complex division and hypot are the ops of the scalar
-    # np.complex128 quotient and abs(); math.log is the scalar log (np.abs
-    # and np.log of arrays differ from them in the last bit)
-    zeta_val = reg / (s - 1.0)
-    az = np.hypot(zeta_val.real, zeta_val.imag)
-    zero_hit = az < _ZERO_FLOOR
-    az[zero_hit] = 1.0
-    out = np.array(list(map(math.log, az.tolist())), dtype=np.float64)
-    out[zero_hit] = -math.inf
-    return out
+    return complex(reg), complex(dreg)
 
 
 def zeta_reg(s) -> complex:
@@ -226,7 +168,7 @@ def zeta(s) -> complex:
     if z == 1.0:
         raise DomainError("zeta has its pole at s = 1")
     reg, _ = _reg_em(z, False)
-    return reg / (z - 1.0)
+    return _cdiv(reg, z - 1.0)
 
 
 def zeta_logderiv(s) -> complex:
@@ -236,13 +178,13 @@ def zeta_logderiv(s) -> complex:
     if z == 1.0:
         raise DomainError("zeta'/zeta has a pole at s = 1")
     reg, dreg = _reg_em(z, True)
-    return dreg / reg - 1.0 / (z - 1.0)
+    return _cdiv(dreg, reg) - 1.0 / (z - 1.0)
 
 
 def reg_logderiv(s) -> complex:
     """d/ds ln((s-1)*zeta(s)); finite through s = 1, value gamma there."""
     reg, dreg = _reg_em(_in_window(s), True)
-    return dreg / reg
+    return _cdiv(dreg, reg)
 
 
 def log_abs_zeta(s) -> float:
@@ -252,7 +194,7 @@ def log_abs_zeta(s) -> float:
     if z == 1.0:
         raise DomainError("zeta has its pole at s = 1")
     reg, _ = _reg_em(z, False)
-    az = abs(reg / (z - 1.0))
+    az = abs(_cdiv(reg, z - 1.0))
     if az < _ZERO_FLOOR:
         return float("-inf")
     return math.log(az)
@@ -333,7 +275,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
 def polygamma(m: int, x: float) -> float:
     """psi^(m)(x) for x > 0; m >= 1 goes through the Hurwitz zeta identity
     psi^(m)(x) = (-1)^(m+1) m! zeta_H(m+1, x)."""
-    if not isinstance(m, (int, np.integer)) or m < 0:
+    if not isinstance(m, Integral) or m < 0:
         raise DomainError(f"polygamma order must be an integer >= 0, got {m!r}")
     if x <= 0.0:
         raise DomainError(f"polygamma needs x > 0, got {x!r}")
@@ -352,25 +294,25 @@ def xi(s) -> complex:
     lie outside the window.  Values beyond the double range (real s from
     about 433 on) raise OverflowError."""
     z = _in_window(s)
-    # a Python complex, so an overflowing product is inf with no numpy warning
-    reg = complex(zeta_reg(z))
     lg = log_gamma(z / 2.0 + 1.0)
-    out = 2.0 * cmath.exp(-z / 2.0 * LN_PI + lg) * reg
+    out = 2.0 * cmath.exp(-z / 2.0 * LN_PI + lg) * zeta_reg(z)
     if not cmath.isfinite(out):
         raise OverflowError(f"|xi({z:g})| exceeds the double range")
     return out
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """The primes <= limit, ascending, by the Eratosthenes sieve.  The flag
-    array costs about `limit` bytes; a request beyond _SIEVE_BUDGET bytes
-    raises instead of thrashing."""
-    if not isinstance(limit, (int, np.integer)) or limit < 2:
+def sieve_primes(limit: int):
+    """The primes <= limit, ascending, as a numpy integer array, by the
+    Eratosthenes sieve.  The flag array costs about `limit` bytes; a
+    request beyond _SIEVE_BUDGET bytes raises instead of thrashing."""
+    if not isinstance(limit, Integral) or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if limit + 1 > _SIEVE_BUDGET:
         raise DomainError(
             f"sieve to {limit} needs ~{limit + 1} bytes, budget is {_SIEVE_BUDGET}"
         )
+    import numpy as np
+
     flags = np.ones(limit + 1, dtype=bool)
     flags[:2] = False
     for p in range(2, math.isqrt(int(limit)) + 1):

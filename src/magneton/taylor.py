@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import specfun
 from .errors import ConvergenceError, DomainError
 
@@ -99,6 +97,8 @@ def _prime_sums(lp, q, order: int, k_top: int):
         return _prime_sums(lp[:half], q[:half], order, k_top) + _prime_sums(
             lp[half:], q[half:], order, k_top
         )
+    import numpy as np
+
     S = np.zeros((order + 1, k_top + 1))
     qk = np.ones_like(q)
     w = np.empty_like(q)
@@ -139,6 +139,8 @@ def compute_coefficients(
         raise DomainError(f"k_max must be <= {_K_CEILING}, got {k_max!r}")
     if tail_budget is not None and math.isnan(tail_budget):
         raise DomainError("tail budget must be a number, got nan")
+
+    import numpy as np
 
     lp = np.log(specfun.sieve_primes(prime_limit).astype(np.float64))
     q = np.exp(-1.5 * lp)  # p^(-3/2)

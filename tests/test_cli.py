@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from magneton import cli, magneton, quad
+from magneton import cli, magneton, quad, specfun
 from magneton.errors import ConvergenceError, CrossCheckError, DomainError, MagnetonError
 
 GAMMA = 0.5772156649015328606065
@@ -433,3 +433,91 @@ def test_constants_reports_worst_failure(monkeypatch, capsys, over_one, over_zer
     assert code == 4
     assert err.startswith(f"cross-check failure: {named}:")
     assert "name,analytic,numeric" in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("-c", "import magneton.cli"),
+        ("-m", "magneton", "figure", "phi"),
+        ("-m", "magneton", "constants"),
+    ],
+    ids=["import", "figure", "constants"],
+)
+def test_scalar_commands_leave_numpy_unloaded(args):
+    # -X importtime logs every module the interpreter loads, startup included
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0
+    loaded = {
+        ln.rsplit("|", 1)[1].strip()
+        for ln in proc.stderr.splitlines()
+        if ln.startswith("import time:")
+    }
+    assert "magneton.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+
+
+def test_numpy_integers_still_accepted():
+    import numpy as np
+
+    assert specfun.sieve_primes(np.int64(100)).tolist() == specfun.sieve_primes(100).tolist()
+    assert specfun.polygamma(np.int64(2), 1.5) == specfun.polygamma(2, 1.5)
+
+
+# hostile values for the float flags: non-finite, extreme, next to the
+# jumps and poles at 0, 1/2 and 1, and on or just past the window edges
+_HOSTILE = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 0.0, -0.0, 0.5, 1.0, 2.0]
+    + [math.nextafter(x, d) for x in (0.0, 0.5, 1.0) for d in (-math.inf, math.inf)]
+    + [-3.0, math.nextafter(-3.0, -math.inf), 200.0, math.nextafter(200.0, math.inf), 1e20, 1e21]
+)
+
+
+def _opt(flag: str, values) -> st.SearchStrategy:
+    return st.one_of(st.just([]), values.map(lambda v: [f"{flag}={v}"]))
+
+
+def _req(flag: str, values) -> st.SearchStrategy:
+    return values.map(lambda v: [f"{flag}={v}"])
+
+
+# every flag is drawn by type, so argparse never refuses a value (its
+# usage message is two lines); table depth and the taylor prime limit stay
+# small so that no example runs long, and the sieve budget stays out
+_FUZZ_ARGV = st.one_of(
+    st.tuples(
+        st.sampled_from(sorted(cli._FIGURES)).map(lambda n: ["figure", n]),
+        _opt("--lo", _HOSTILE),
+        _opt("--hi", _HOSTILE),
+        _req("--step", _HOSTILE),
+    ),
+    st.tuples(st.just(["constants"])),
+    st.tuples(
+        st.just(["table"]),
+        _req("--rho", _HOSTILE),
+        _opt("--t-max", _HOSTILE),
+        _opt("--tol", _HOSTILE),
+        _req("--max-depth", st.sampled_from([0, 1, 4, 8])),
+    ),
+    st.tuples(
+        st.just(["taylor"]),
+        _opt("--order", st.sampled_from([-1, 0, 1, 20, 21])),
+        _req("--prime-limit", st.sampled_from([-1, 0, 1, 2, 1000, 100_000])),
+        _opt("--k-max", st.sampled_from([0, 1, 716, 717])),
+        _opt("--tail-budget", _HOSTILE),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(parts=_FUZZ_ARGV, mode=_opt("--rh-mode", st.sampled_from(["conditional", "outside-only"])))
+def test_cli_fuzz_error_contract(parts, mode):
+    argv = [*parts[0], *mode, *(a for p in parts[1:] for a in p)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), argv
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= (0 if code == 0 else 1), (argv, lines)

@@ -3,6 +3,7 @@ arbitrary-precision references and basic structural identities."""
 
 import cmath
 import math
+import struct
 import threading
 
 import numpy as np
@@ -261,3 +262,94 @@ def test_xi_overflow_raises():
     for x in (433.0, 500.0):
         with pytest.raises(OverflowError):
             specfun.xi(x)
+
+
+# The zeta family as it was evaluated with numpy arrays: the base sums were
+# `np.exp(-s*logn).sum()` and every quotient an np.complex128 division.  The
+# scalar path must keep these bits exactly.
+_NP_LOGN = np.log(np.arange(1, specfun._MAX_N + 1, dtype=np.float64))
+
+
+def _numpy_reg_em(s: complex):
+    n_trunc = max(30, math.ceil(1.3 * abs(s.imag)))
+    logn = _NP_LOGN[: n_trunc - 1]
+    pw = np.exp(-s * logn)
+    base = pw.sum()
+    ln_big = _NP_LOGN[n_trunc - 1]
+    n_pow_ms = cmath.exp(-s * ln_big)
+    corr = dcorr = 0j
+    poch, dpoch = s, 1.0 + 0j
+    npow = n_pow_ms / n_trunc
+    for k, coef in enumerate(specfun._B_OVER_FACT):
+        if k:
+            for j in (2 * k - 1, 2 * k):
+                f = s + j
+                dpoch = dpoch * f + poch
+                poch = poch * f
+            npow /= n_trunc * n_trunc
+        corr += coef * poch * npow
+        dcorr += coef * npow * (dpoch - poch * ln_big)
+    inner = base + n_pow_ms / 2.0 + corr
+    n_pow_1ms = cmath.exp((1.0 - s) * ln_big)
+    reg = (s - 1.0) * inner + n_pow_1ms
+    dinner = -(logn * pw).sum() - ln_big * n_pow_ms / 2.0 + dcorr
+    return reg, inner + (s - 1.0) * dinner - ln_big * n_pow_1ms
+
+
+def _numpy_family(z: complex) -> dict:
+    """Oracle values of the six public functions at z, or the exception
+    class the function must raise there: DomainError at the pole s = 1 and
+    the Gamma pole of xi, OverflowError where xi leaves the double range."""
+    reg, dreg = _numpy_reg_em(z)
+    out = dict.fromkeys(("zeta", "zeta_logderiv", "log_abs_zeta", "xi"), DomainError)
+    out["zeta_reg"] = reg
+    out["reg_logderiv"] = dreg / reg
+    if z != 1.0:
+        out["zeta"] = reg / (z - 1.0)
+        out["zeta_logderiv"] = dreg / reg - 1.0 / (z - 1.0)
+        az = abs(reg / (z - 1.0))
+        out["log_abs_zeta"] = -math.inf if az < specfun._ZERO_FLOOR else math.log(az)
+    if not (z.imag == 0.0 and z.real == -2.0):
+        lg = specfun.log_gamma(z / 2.0 + 1.0)
+        try:
+            val = 2.0 * cmath.exp(-z / 2.0 * specfun.LN_PI + lg) * complex(reg)
+        except OverflowError:
+            val = math.inf
+        out["xi"] = val if cmath.isfinite(val) else OverflowError
+    return out
+
+
+def _bits(v) -> tuple:
+    """Both parts of v as raw bytes, zero signs included; any NaN is one key."""
+    v = complex(v)
+    return tuple("nan" if x != x else struct.pack("<d", x) for x in (v.real, v.imag))
+
+
+def test_scalar_family_keeps_numpy_bits(rng):
+    pts = [complex(x, 0.0) for x in rng.uniform(-3.0, 12.0, 700)]
+    off_axis = zip(rng.uniform(-3.0, 12.0, 1100), rng.uniform(-200.0, 200.0, 1100))
+    pts += [complex(x, y) for x, y in off_axis]
+    pts += [complex(x, 0.0) for x in 10.0 ** rng.uniform(1.0, 20.0, 100)]
+    pts += [0j, 0.5 + 0j, 1 + 0j, 1.5 + 0j, -1 + 0j, -2 + 0j, 1 + 1e-9 + 0j, 1 - 1e-9 + 0j]
+    pts += [complex(0.5, -0.0), -3 + 0j, 1e20 + 0j, complex(0.5, 200.0), complex(-3.0, -200.0)]
+    for z in pts:
+        for name, want in _numpy_family(z).items():
+            fn = getattr(specfun, name)
+            if isinstance(want, type):
+                with pytest.raises(want):
+                    fn(z)
+            else:
+                assert _bits(fn(z)) == _bits(want), (name, z)
+
+
+def test_cdiv_is_numpy_complex_division(rng):
+    # finite divisors, zero included; the numerator may be inf or nan
+    finite = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -3.5, *rng.uniform(-1e3, 1e3, 40)]
+    parts = [*finite, math.inf, -math.inf, math.nan]
+    nums = rng.integers(0, len(parts), (20_000, 2)).tolist()
+    dens = rng.integers(0, len(finite), (20_000, 2)).tolist()
+    with np.errstate(all="ignore"):
+        for (i, j), (k, m) in zip(nums, dens):
+            a, b = complex(parts[i], parts[j]), complex(finite[k], finite[m])
+            want = np.complex128(a) / np.complex128(b)
+            assert _bits(specfun._cdiv(a, b)) == _bits(want), (a, b)
