@@ -35,6 +35,7 @@ would keep millions of them open down to ``_MIN_WIDTH`` and exhaust memory
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
@@ -184,6 +185,16 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
+@functools.cache
+def _logn_array() -> np.ndarray:
+    """`specfun._LOGN` as a read-only array, built once per process."""
+    import numpy as np
+
+    logn = np.array(specfun._LOGN)
+    logn.flags.writeable = False
+    return logn
+
+
 def log_abs_zeta_line(rho: float, t) -> np.ndarray:
     """ln|zeta(rho + it)| at every t of a 1-D array.
 
@@ -209,7 +220,7 @@ def log_abs_zeta_line(rho: float, t) -> np.ndarray:
     if rho == 1.0 and (t == 0.0).any():
         raise DomainError("zeta has its pole at s = 1")
 
-    all_logn = np.array(specfun._LOGN)
+    all_logn = _logn_array()
     n_trunc = np.maximum(30.0, np.ceil(1.3 * np.abs(t))).astype(np.intp)
     s = np.empty(t.shape, dtype=np.complex128)
     s.real = rho

@@ -83,37 +83,78 @@ def _prime_sums(lp, q, order: int, k_top: int):
     lp holds ln p and q = p^(-3/2) for increasing primes; column k = 0 is 0.
     Every entry has the bits of `(q**k * lp**n).sum()` built as repeated
     products over the whole array, but each (k, n) pass runs on a block of
-    at most _LEAF primes that stays in cache.
+    at most _LEAF primes that stays in cache, and only where it can change
+    a bit of the result.
+
+    numpy sums a contiguous float64 array by a fixed pairwise tree: a node
+    of more than 128 elements is halved, the split rounded down to a
+    multiple of 8, and the two halves' sums are added.  Splitting at the
+    same points and adding block sums back up the same tree therefore
+    repeats numpy's additions exactly.  Above the leaves each node is one
+    addition S_left + S_right of non-negative sums, and in round to nearest
+    that returns S_left bit for bit whenever S_right < ulp(S_left)/2.  The
+    computed lp rises and q falls along a block: ln p moves by about 1/p
+    from one prime to the next, far more than the few ulp that np.log and
+    np.exp may be off.  Rounding is monotone in each factor, so every
+    computed term of the right block is at most the same product chain of
+    its first q and its last lp.  Its sum over len terms is then below
+    2 * len * q_first^k * lp_last^n: the factor 2 covers the roundings of
+    the products and of the sum, subnormal ones included.  Where that bound
+    (taken in logs, so nothing underflows) is below ulp(S_left)/4, the
+    right block cannot move the entry and is not summed for that (n, k).
     """
-    # numpy sums a contiguous float64 array by a fixed pairwise tree: a node
-    # of more than 128 elements is halved, the split rounded down to a
-    # multiple of 8, and the two halves' sums are added.  Splitting at the
-    # same points and adding leaf sums back up the same tree therefore
-    # repeats numpy's additions exactly.
-    size = len(q)
-    if size > _LEAF:
-        half = size // 2
-        half -= half % 8
-        return _prime_sums(lp[:half], q[:half], order, k_top) + _prime_sums(
-            lp[half:], q[half:], order, k_top
-        )
     import numpy as np
 
-    S = np.zeros((order + 1, k_top + 1))
+    need = np.ones((order + 1, k_top + 1), dtype=bool)
+    need[:, 0] = False
+    return _node_sums(lp, q, need)
+
+
+def _node_sums(lp, q, need):
+    """_prime_sums on one node of the pairwise tree; only the entries where
+    `need` is set are exact, the others are left unsummed."""
+    size = len(q)
+    if size <= _LEAF:
+        return _leaf_sums(lp, q, need)
+    import numpy as np
+
+    half = size // 2
+    half -= half % 8
+    S = _node_sums(lp[:half], q[:half], need)
+    n, k = np.indices(need.shape)
+    log_bound = math.log(2 * (size - half)) + k * math.log(q[half]) + n * math.log(lp[-1])
+    need = need & (log_bound >= np.log(np.spacing(S)) - math.log(4.0))
+    if need.any():
+        np.add(S, _node_sums(lp[half:], q[half:], need), out=S, where=need)
+    return S
+
+
+def _leaf_sums(lp, q, need):
+    """The (k, n) passes of one cache-resident block, for the needed entries."""
+    import numpy as np
+
+    S = np.zeros(need.shape)
+    live_k = np.flatnonzero(need.any(axis=0))
+    if not len(q) or not len(live_k):
+        return S
     qk = np.ones_like(q)
     w = np.empty_like(q)
-    for k in range(1, k_top + 1):
+    for k in range(1, live_k[-1] + 1):
         np.multiply(qk, q, out=qk)
         # q decreases along the block and rounding is monotone, so q^k is
         # largest at the block's first prime: once that is 0.0 the block
         # adds exactly 0.0 to this and every later k.
-        if not size or qk[0] == 0.0:
+        if qk[0] == 0.0:
             break
+        live_n = np.flatnonzero(need[:, k])
+        if not len(live_n):
+            continue
         w[:] = qk
-        for n in range(order + 1):
+        for n in range(live_n[-1] + 1):
             if n:
                 np.multiply(w, lp, out=w)
-            S[n, k] = w.sum()
+            if need[n, k]:
+                S[n, k] = w.sum()
     return S
 
 

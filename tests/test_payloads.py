@@ -38,6 +38,8 @@ COMMANDS = {
     ],
     "taylor_13": ["taylor", "--order", "13", "--prime-limit", "1000000"],
     "taylor_20": ["taylor", "--order", "20", "--prime-limit", "1000000"],
+    # the taylor-deep benchmark point
+    "taylor_20_1e7": ["taylor", "--order", "20", "--prime-limit", "10000000"],
     "taylor_5_kmax7": [
         "taylor", "--order", "5", "--prime-limit", "2000000", "--k-max", "7",
     ],
