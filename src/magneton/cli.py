@@ -362,7 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     defaults = quad.QuadratureConfig()
     p_table.add_argument("--t-max", type=float, default=defaults.t_max)
     p_table.add_argument("--tol", type=float, default=defaults.abs_tol)
-    p_table.add_argument("--max-depth", type=int, default=defaults.max_depth)
+    p_table.add_argument(
+        "--max-depth",
+        type=int,
+        default=defaults.max_depth,
+        help="quadrature levels per panel, each halving the node step",
+    )
     p_table.set_defaults(func=cmd_table)
 
     p_fig = sub.add_parser("figure", parents=[common], help="plot-ready figure data")

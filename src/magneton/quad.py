@@ -1,35 +1,33 @@
-"""Adaptive quadrature of ln|zeta(rho + it)| against the Lorentz measure
+"""Quadrature of ln|zeta(rho + it)| against the Lorentz measure
 dt/(1/4 + t^2).
 
-The rule is adaptive Simpson with a Richardson-corrected panel value, run
-level by level: each pass takes every open panel of one depth, evaluates
-the two new quarter points of all of them in one batched integrand call,
-then accepts or splits each panel against that depth's tolerance (the
-root tolerance halved once per level).  On the vertical line the batch goes
-through `log_abs_zeta_line`, which reproduces the scalar
-`specfun.log_abs_zeta` bit for bit, so the panel tree -- which panels
-split, the evaluation count, the depth reached -- is the one a depth-first
-recursion builds.  Panel values and errors are then summed in that
-recursion's order, so every result matches it to the last bit.
+The rule is tanh-sinh (Takahasi & Mori 1974) on panels.  On a panel with
+midpoint c and half width r the substitution t = c + r tanh(pi/2 sinh u)
+turns the integral into one over the whole u axis whose integrand decays
+double exponentially, so the trapezoidal sum in u converges exponentially
+in 1/h, also when the integrand has an integrable singularity at a panel
+end.  Refinement runs level by level: level 0 takes the step h = 1, each
+later level halves the step of every open panel and adds the nodes at the
+odd multiples of the new step, and all new nodes of one level go through
+one batched integrand call.  A panel closes once the change of its value
+from the last level, plus the rounding term 2^-52 h sum|w f|, is within its
+equal share abs_tol / n_panels of the tolerance; that sum is its error
+estimate.  Nodes stop short of |u| = _U_MAX, and a node closer to its
+panel end than the spacing of floats there is dropped, so no node lands on
+an end.
 
-The integrand is smooth except for integrable logarithmic dips where the
-vertical line passes a zeta zero (only possible inside the critical strip).
-Two measures keep the refinement finite there without a zero table:
+`phi_numeric` splits [0, T] at the ordinates of the zeta zeros on the half
+line, found as sign changes of Hardy's Z(t).  The log dips of the
+rho = 1/2 line then sit at panel ends, where the rule handles them, and so
+does the pole of the rho = 1 line at t = 0.  The ordinates are hints, not
+an assumption: a panel holding a singularity the search missed does not
+converge.
 
-* the raw log is clamped at ``_LOG_FLOOR`` before weighting, which bounds
-  the integrand and swallows the -inf zero-hit signal of the kernel; the
-  clamp perturbs the integral by less than exp(_LOG_FLOOR) times the
-  affected width, far below every tolerance in use;
-* a panel that still cannot meet its halved tolerance once it is narrower
-  than ``_MIN_WIDTH`` is closed out with its Richardson value and its local
-  estimate is added to the reported error instead of refining forever.
-
-A panel that fails at ``max_depth``, or closes with a non-finite value,
-raises ConvergenceError.  When several fail, the leftmost is reported: the
-one a left-to-right recursion meets first.  A level of more than
-``_MAX_PANELS`` finite open panels raises it too: an unreachable tolerance
-would keep millions of them open down to ``_MIN_WIDTH`` and exhaust memory
-(the widest level of rho = 1/2 at tolerance 1e-14 holds 12,044).
+A panel still open at level ``max_depth`` raises ConvergenceError naming
+the leftmost one, and a non-finite integrand value raises it naming its
+panel.  So does a level of more than ``_MAX_NODES`` new nodes: an
+unreachable tolerance would double them level after level until memory
+runs out.
 """
 
 from __future__ import annotations
@@ -43,9 +41,14 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from . import specfun
 from .errors import ConvergenceError, DomainError
 
-_MIN_WIDTH = 1e-6
-_MAX_PANELS = 2**16
-_LOG_FLOOR = -30.0
+_MAX_NODES = 2**16
+# pi/2 sinh(3.5) = 26, so a node past it would lie within 3e-23 panel
+# widths of its end: what the outer nodes leave out is far below the
+# rounding term, even beside a log singularity
+_U_MAX = 3.5
+# the closest zeta zeros on the half line below the window's height 200 are
+# 0.72 apart, so on a grid this fine each has a cell of its own
+_Z_STEP = 0.25
 # Rows of the n^-s table built per array pass in log_abs_zeta_line; caps
 # the temporary at 64 x 260 complex values (about 270 kB).
 _LINE_CHUNK = 64
@@ -60,7 +63,7 @@ if TYPE_CHECKING:
 class QuadratureConfig:
     t_max: float = 50.0
     abs_tol: float = 1e-8
-    max_depth: int = 40
+    max_depth: int = 40  # levels of step halving per panel
 
     def __post_init__(self):
         if not (self.t_max > 0.0):
@@ -82,83 +85,65 @@ class QuadResult(NamedTuple):
     max_depth_used: int
 
 
-def _simpson(fa, fm, fb, width):
-    return width / 6.0 * (fa + 4.0 * fm + fb)
-
-
 def _integrate(
-    fv: Callable[[np.ndarray], np.ndarray], a: float, b: float, cfg: QuadratureConfig
+    fv: Callable[[np.ndarray], np.ndarray], edges: list[float], cfg: QuadratureConfig
 ) -> QuadResult:
-    """Level-synchronous adaptive Simpson over [a, b]; `fv` maps an array of
-    abscissae to the array of integrand values."""
+    """Tanh-sinh over the panels between consecutive `edges`; `fv` maps an
+    array of abscissae to the array of integrand values."""
     import numpy as np
 
-    # non-finite panels stay silent, as floats do
-    with np.errstate(invalid="ignore", over="ignore"):
-        f_lo, f_mid, f_hi = (np.array([v]) for v in fv(np.array([a, 0.5 * (a + b), b])))
-        lo, hi = np.array([a]), np.array([b])
-        n_evals, depth, tol = 3, 0, cfg.abs_tol
-        levels: list[tuple[np.ndarray, np.ndarray]] = []  # (closed?, Richardson value)
-        closed_lo: list[np.ndarray] = []
-        closed_err: list[np.ndarray] = []
-        while True:
-            mid = 0.5 * (lo + hi)
-            f_new = fv(np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi))))
-            n_evals += f_new.size
-            f_l, f_r = f_new[: lo.size], f_new[lo.size :]
-            whole = _simpson(f_lo, f_mid, f_hi, hi - lo)
-            left = _simpson(f_lo, f_l, f_mid, mid - lo)
-            right = _simpson(f_mid, f_r, f_hi, hi - mid)
-            split = left + right
-            err = np.abs(split - whole) / 15.0
-            done = (err <= tol) | (hi - lo < _MIN_WIDTH)
-            levels.append((done, split + (split - whole) / 15.0))
-            closed_lo.append(lo[done])
-            closed_err.append(err[done])
-            fail = done & ~np.isfinite(split)
-            if depth >= cfg.max_depth:
-                fail |= ~done
-            if fail.any():
-                # all panels of a level share one width, so failures come on one
-                # level only (the depth limit, or the first below _MIN_WIDTH);
-                # its leftmost is the one a left-to-right recursion meets first
-                i = np.flatnonzero(fail)[np.argmin(lo[fail])]
-                panel = f"panel [{float(lo[i]):.6g}, {float(hi[i]):.6g}]"
-                if done[i]:
-                    raise ConvergenceError(f"non-finite integrand on {panel}")
-                raise ConvergenceError(
-                    f"{panel} not converged at depth limit "
-                    f"{cfg.max_depth}: error {float(err[i]):.3g} > {tol:.3g}"
-                )
-            more = ~done
-            if not more.any():
-                break
-            # a panel holding a non-finite value cannot converge and ends the
-            # run at _MIN_WIDTH or max_depth as above, so it is not counted
-            n_open = 2 * np.count_nonzero(more & np.isfinite(split))
-            if n_open > _MAX_PANELS:
-                raise ConvergenceError(
-                    f"{n_open} panels open at depth {depth + 1}, above the cap "
-                    f"{_MAX_PANELS}: tolerance {cfg.abs_tol:.3g} is out of reach"
-                )
-            depth += 1
-            tol /= 2.0
-            # children: [lo, mid] and [mid, hi] of every panel still open
-            lo, hi, f_lo, f_mid, f_hi = [
-                np.concatenate((x[more], y[more]))
-                for x, y in ((lo, mid), (mid, hi), (f_lo, f_mid), (f_l, f_r), (f_mid, f_hi))
-            ]
-        # sum in the order of a depth-first recursion, so that results match it
-        # to the last bit: bottom up, a split panel is its left plus its right
-        # child, and the closed panels' errors add up from left to right
-        below = None
-        for done, value in reversed(levels):
-            if below is not None:
-                half = below.size // 2
-                value[~done] = below[:half] + below[half:]
-            below = value
-        errors = np.concatenate(closed_err)[np.argsort(np.concatenate(closed_lo))]
-        return QuadResult(float(below[0]), float(np.cumsum(errors)[-1]), n_evals, depth)
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    r = 0.5 * (hi - lo)
+    n_pan = lo.size
+    tol = cfg.abs_tol / n_pan
+    wf_sum, wf_abs = np.zeros(n_pan), np.zeros(n_pan)  # over every node so far
+    value, err = np.zeros(n_pan), np.full(n_pan, math.inf)
+    is_open = np.ones(n_pan, dtype=bool)
+    n_evals = 0
+    for level in range(cfg.max_depth + 1):
+        h = 0.5**level
+        # new nodes: every multiple of h on level 0, the odd ones after it
+        u = np.arange(h if level else 0.0, _U_MAX, 2.0 * h if level else h)
+        # t = end -+ r*delta with delta = 1 -+ tanh(pi/2 sinh u), taken
+        # without cancellation; the weight is r * g
+        delta = 2.0 / (1.0 + np.exp(math.pi * np.sinh(u)))
+        g = 0.5 * math.pi * np.cosh(u) * delta * (2.0 - delta)
+        rows = np.flatnonzero(is_open)[:, None]
+        d = r[rows] * delta
+        ends = np.stack((lo[rows], hi[rows]))
+        keep = d > np.spacing(np.abs(ends))
+        if not level:
+            keep[1, :, 0] = False  # u = 0 is the midpoint, taken once
+        n_new = np.count_nonzero(keep)
+        if n_new > _MAX_NODES:
+            raise ConvergenceError(
+                f"{n_new} nodes for the panels open at depth {level}, above the "
+                f"cap {_MAX_NODES}: tolerance {cfg.abs_tol:.3g} is out of reach"
+            )
+        f = fv(np.stack((lo[rows] + d, hi[rows] - d))[keep])
+        n_evals += f.size
+        pan = np.broadcast_to(rows, keep.shape)[keep]
+        bad = pan[~np.isfinite(f)]
+        if bad.size:
+            i = bad.min()
+            raise ConvergenceError(
+                f"non-finite integrand on panel [{lo[i]:.6g}, {hi[i]:.6g}]"
+            )
+        wf = np.broadcast_to(r[rows] * g, keep.shape)[keep] * f
+        wf_sum += np.bincount(pan, wf, n_pan)
+        wf_abs += np.bincount(pan, np.abs(wf), n_pan)
+        new = h * wf_sum
+        if level:
+            err[is_open] = (np.abs(new - value) + 2.0**-52 * h * wf_abs)[is_open]
+        value[is_open] = new[is_open]
+        is_open &= err > tol
+        if not is_open.any():
+            return QuadResult(float(value.sum()), float(err.sum()), n_evals, level)
+    i = np.flatnonzero(is_open)[0]
+    raise ConvergenceError(
+        f"panel [{lo[i]:.6g}, {hi[i]:.6g}] not converged at depth limit "
+        f"{cfg.max_depth}: error {err[i]:.3g} > {tol:.3g}"
+    )
 
 
 def integrate_adaptive(
@@ -167,22 +152,16 @@ def integrate_adaptive(
     b: float,
     config: QuadratureConfig | None = None,
 ) -> QuadResult:
-    """Adaptive Simpson integral of f over [a, b] with an embedded error
-    pair; raises ConvergenceError if the depth budget runs out first."""
+    """Tanh-sinh integral of f over the one panel [a, b], refined level by
+    level; raises ConvergenceError if the depth budget runs out first."""
     import numpy as np
 
     cfg = config or QuadratureConfig()
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise DomainError(f"bad interval [{a!r}, {b!r}]")
     return _integrate(
-        lambda x: np.array([f(v) for v in x.tolist()], dtype=np.float64), a, b, cfg
+        lambda x: np.array([f(v) for v in x.tolist()], dtype=np.float64), [a, b], cfg
     )
-
-
-def _cmul(ar, ai, br, bi):
-    # complex product rounded as Python's complex type rounds it: four
-    # products and two sums (numpy's complex array product may fuse them)
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 @functools.cache
@@ -199,13 +178,11 @@ def log_abs_zeta_line(rho: float, t) -> np.ndarray:
     """ln|zeta(rho + it)| at every t of a 1-D array.
 
     The Euler-Maclaurin sum of `specfun._reg_em` (same truncation max(30,
-    ceil(1.3|t|)), same `_LOGN`, same `_B_OVER_FACT` corrections) run as
-    array passes.  Each complex step is spelled out in real arithmetic in
-    the order and rounding of the scalar path, and the n^-s terms of one
-    truncation length are summed as whole rows, so every value equals
-    `specfun.log_abs_zeta(complex(rho, t))` to the last bit.  Errors and
-    the zero signal are the scalar ones: DomainError at the pole s = 1 and
-    outside the window, and -inf where |zeta| < specfun._ZERO_FLOOR."""
+    ceil(1.3|t|)), same `_LOGN`, same `_B_OVER_FACT` corrections) in numpy
+    complex arithmetic.  It agrees with `specfun.log_abs_zeta` to rounding,
+    not bit for bit.  Errors and the zero signal are the scalar ones:
+    DomainError at the pole s = 1 and outside the window, and -inf where
+    |zeta| < specfun._ZERO_FLOOR."""
     import numpy as np
 
     rho = float(rho)
@@ -220,95 +197,85 @@ def log_abs_zeta_line(rho: float, t) -> np.ndarray:
     if rho == 1.0 and (t == 0.0).any():
         raise DomainError("zeta has its pole at s = 1")
 
-    all_logn = _logn_array()
+    logn = _logn_array()
     n_trunc = np.maximum(30.0, np.ceil(1.3 * np.abs(t))).astype(np.intp)
-    s = np.empty(t.shape, dtype=np.complex128)
-    s.real = rho
-    s.imag = t
+    s = rho + 1j * t
 
     # base sum over n = 1 .. N-1, for rows of equal N at most _LINE_CHUNK at
-    # a time: numpy sums each row of a 2-D array exactly as it sums the same
-    # terms in 1-D, which is the order `specfun._pairwise_sum` repeats
-    # (zero-padded rows of mixed N, or reduceat, would not)
+    # a time, so that no row sums terms past its own N
     order = np.argsort(n_trunc, kind="stable")
     n_sorted = n_trunc[order]
     starts = np.flatnonzero(np.diff(n_sorted, prepend=0)).tolist()
-    minus_s = -s
-    sums = []
+    base = np.empty_like(s)
     for g0, g1 in zip(starts, [*starts[1:], t.size]):
-        logn = all_logn[: n_sorted[g0] - 1]
         for c0 in range(g0, g1, _LINE_CHUNK):
             rows = order[c0 : min(c0 + _LINE_CHUNK, g1)]
-            sums.append(np.exp(minus_s[rows, None] * logn).sum(axis=1))
-    base = np.empty_like(s)
-    base[order] = np.concatenate(sums)
+            terms = np.exp(-s[rows, None] * logn[: n_sorted[g0] - 1])
+            base[rows] = terms.sum(axis=1)
 
-    # N^-s and N^(1-s) through cmath.exp, as the scalar path computes them
-    n_big = n_trunc.astype(np.float64)
-    ln_big = all_logn[n_trunc - 1]
-    arg = np.empty_like(s)
-    arg.imag = -t * ln_big
-    arg.real = -rho * ln_big
-    n_pow_ms = np.array(list(map(cmath.exp, arg.tolist())), dtype=np.complex128)
-    arg.real = (1.0 - rho) * ln_big
-    n_pow_1ms = np.array(list(map(cmath.exp, arg.tolist())), dtype=np.complex128)
-
-    # corrections, k = 1..7, accumulated in the scalar loop's order
-    corr_r = np.zeros_like(t)
-    corr_i = np.zeros_like(t)
-    poch_r = np.full_like(t, rho)
-    poch_i = t
-    npow_r = n_pow_ms.real / n_big
-    npow_i = n_pow_ms.imag / n_big
-    n_sq = n_big * n_big
+    # corrections: sum_k B_2k/(2k)! * (s)_(2k-1) * N^(1-2k-s), k = 1..7
+    ln_big = logn[n_trunc - 1]
+    n_pow_ms = np.exp(-s * ln_big)  # N^-s
+    corr = np.zeros_like(s)
+    poch = s  # (s)_(2k-1), grown two factors a round
+    npow = n_pow_ms / n_trunc  # N^(-s-1)
     for k, coef in enumerate(specfun._B_OVER_FACT):
         if k:
-            for j in (2 * k - 1, 2 * k):
-                poch_r, poch_i = _cmul(poch_r, poch_i, rho + j, t)
-            npow_r = npow_r / n_sq
-            npow_i = npow_i / n_sq
-        term_r, term_i = _cmul(coef * poch_r, coef * poch_i, npow_r, npow_i)
-        corr_r = corr_r + term_r
-        corr_i = corr_i + term_i
+            poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
+            npow = npow / (n_trunc * n_trunc)
+        corr += coef * poch * npow
 
-    inner_r = base.real + n_pow_ms.real / 2.0 + corr_r
-    inner_i = base.imag + n_pow_ms.imag / 2.0 + corr_i
-    reg_r, reg_i = _cmul(rho - 1.0, t, inner_r, inner_i)
-    reg = np.empty_like(s)
-    reg.real = reg_r + n_pow_1ms.real
-    reg.imag = reg_i + n_pow_1ms.imag
-    # numpy's complex division is the one `specfun._cdiv` copies, and hypot
-    # is the scalar abs(); math.log is the scalar log (np.abs and np.log of
-    # arrays differ from them in the last bit)
-    zeta_val = reg / (s - 1.0)
-    az = np.hypot(zeta_val.real, zeta_val.imag)
-    zero_hit = az < specfun._ZERO_FLOOR
-    az[zero_hit] = 1.0
-    out = np.array(list(map(math.log, az.tolist())), dtype=np.float64)
-    out[zero_hit] = -math.inf
+    reg = (s - 1.0) * (base + n_pow_ms / 2.0 + corr) + np.exp((1.0 - s) * ln_big)
+    az = np.abs(reg / (s - 1.0))
+    out = np.full(t.shape, -math.inf)
+    hit = az >= specfun._ZERO_FLOOR
+    out[hit] = np.log(az[hit])
     return out
+
+
+def _hardy_z_positive(t: float) -> bool:
+    """Whether Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is positive,
+    with the Riemann-Siegel theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi."""
+    theta = specfun.log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * specfun.LN_PI
+    return (cmath.exp(1j * theta) * specfun.zeta(complex(0.5, t))).real > 0.0
+
+
+@functools.cache
+def _zero_ordinates(t_max: float) -> tuple[float, ...]:
+    """Ordinates in (0, t_max) of the zeta zeros on the half line: each sign
+    change of Z on a grid of step at most _Z_STEP, bisected until its two
+    ends are adjacent floats."""
+    n = math.ceil(t_max / _Z_STEP)
+    grid = [t_max * k / n for k in range(n + 1)]
+    signs = [_hardy_z_positive(t) for t in grid]
+    out = []
+    for lo, hi, sign, sign_hi in zip(grid, grid[1:], signs, signs[1:]):
+        if sign == sign_hi:
+            continue
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if _hardy_z_positive(mid) == sign:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        out.append(lo)
+    return tuple(out)
 
 
 def phi_numeric(rho: float, config: QuadratureConfig | None = None) -> QuadResult:
     """(1/2) * integral over [-T, T] of ln|zeta(rho+it)| dt/(1/4+t^2),
-    realized as the half-line integral [0, T] by evenness in t."""
+    realized as the half-line integral [0, T] by evenness in t, on panels
+    split at the zero ordinates below T."""
     cfg = config or QuadratureConfig()
     rho = float(rho)
     if not math.isfinite(rho):
         raise DomainError(f"rho must be finite, got {rho!r}")
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        raw = log_abs_zeta_line(rho, t)
-        raw[raw < _LOG_FLOOR] = _LOG_FLOOR
-        return raw / (0.25 + t * t)
+        return log_abs_zeta_line(rho, t) / (0.25 + t * t)
 
-    if rho != 1.0:
-        return _integrate(integrand, 0.0, cfg.t_max, cfg)
-    # the line through the zeta pole: ln|zeta(1+it)| = -ln|t| + O(t^2),
-    # so start just above 0 and add the sliver integral of -4 ln t
-    a = 1e-12
-    res = _integrate(integrand, a, cfg.t_max, cfg)
-    return res._replace(value=res.value + 4.0 * a * (1.0 - math.log(a)))
+    return _integrate(integrand, [0.0, *_zero_ordinates(cfg.t_max), cfg.t_max], cfg)
 
 
 def lorentz_log_integral(alpha: float, beta: float, mu: float) -> float:

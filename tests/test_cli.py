@@ -103,7 +103,7 @@ def test_table_depth_budget(capsys):
 
 
 def test_table_panel_cap(monkeypatch, capsys):
-    monkeypatch.setattr(quad, "_MAX_PANELS", 64)
+    monkeypatch.setattr(quad, "_MAX_NODES", 64)
     code, out, err = run(["table", "--rho", "2", "--tol", "1e-10"], capsys)
     assert code == 3
     assert out == ""

@@ -1,27 +1,61 @@
+import json
 import math
+import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 
 from magneton import quad, specfun
 from magneton.errors import ConvergenceError, DomainError
 
-# Frozen half-line averages at t_max = 50, computed independently at 30
+# Frozen half-line averages at t_max = 50, computed independently at 20
 # significant digits with the integration interval split at every zeta
-# zero below the cutoff.  The package must land on these, not near them.
+# zero below the cutoff (the references of perfbench/refs.json).  The
+# package must land on these, not near them: rho = 0.5 runs through the
+# zeros and rho = 1 starts at the pole, and both are panel ends.
 PHI_T50 = {
     0.0: -2.2201178177501101,
     0.2: -1.371468375869684,
-    0.5: -0.00036372004066848972,
+    0.5: -0.00036463801779817649679,
     0.8: 1.6391796523380856,
     1.0: 3.016576496675403,
     2.0: 0.92288064141778046,
 }
+PHI_TOL = dict.fromkeys(PHI_T50, 1e-11)
 
-# rho = 0.5 runs straight through the zeros (true log singularities, the
-# micro-panel closeout caps the attainable accuracy); rho = 1 starts at
-# the pole sliver.  Everywhere else the integrand is smooth.
-PHI_TOL = {0.0: 5e-8, 0.2: 5e-8, 0.5: 2e-6, 0.8: 5e-8, 1.0: 1e-5, 2.0: 5e-8}
+REFS = pathlib.Path(__file__).parents[1] / "perfbench" / "refs.json"
+
+# mpmath.zetazero(n).imag for n = 1..79, every zero below the window's
+# height 200
+ZETA_ZEROS = (
+    14.134725141734694, 21.022039638771555, 25.010857580145689,
+    30.424876125859513, 32.93506158773919, 37.586178158825671,
+    40.918719012147495, 43.327073280915, 48.00515088116716, 49.773832477672302,
+    52.970321477714461, 56.446247697063395, 59.347044002602353,
+    60.83177852460981, 65.112544048081607, 67.079810529494174,
+    69.546401711173979, 72.067157674481908, 75.704690699083933,
+    77.144840068874805, 79.337375020249368, 82.91038085408603,
+    84.73549298051705, 87.425274613125229, 88.809111207634465,
+    92.491899270558484, 94.651344040519887, 95.87063422824531,
+    98.831194218193692, 101.31785100573139, 103.72553804047834,
+    105.44662305232609, 107.16861118427641, 111.02953554316967,
+    111.87465917699264, 114.32022091545271, 116.22668032085755,
+    118.79078286597622, 121.37012500242065, 122.94682929355259,
+    124.25681855434577, 127.5166838795965, 129.57870419995605,
+    131.08768853093266, 133.49773720299759, 134.75650975337387,
+    138.11604205453344, 139.73620895212139, 141.12370740402112,
+    143.11184580762063, 146.00098248676552, 147.4227653425596,
+    150.05352042078488, 150.92525761224147, 153.0246938111989,
+    156.11290929423787, 157.59759181759406, 158.8499881714205,
+    161.18896413759603, 163.03070968718199, 165.53706918790042,
+    167.18443997817451, 169.09451541556882, 169.9119764794117,
+    173.41153651959155, 174.75419152336573, 176.44143429771042,
+    178.37740777609998, 179.916484020257, 182.20707848436646,
+    184.87446784838751, 185.59878367770747, 187.22892258350185,
+    189.41615865601694, 192.02665636071379, 193.0797266038457,
+    195.26539667952924, 196.87648184095832, 198.01530967625191,
+)
 
 # same construction at rho = -1 (left of the strip, no zeros on the line)
 PHI_T50_NEG_ONE = -6.4148910704699175
@@ -49,10 +83,12 @@ def test_config_validation(kwargs):
         quad.QuadratureConfig(**kwargs)
 
 
-def test_simpson_exact_on_cubic():
-    res = quad.integrate_adaptive(lambda t: t**3, 0.0, 1.0)
-    assert abs(res.value - 0.25) < 1e-15
-    assert res.error_estimate < 1e-15
+def test_exact_on_polynomial():
+    # tanh-sinh is not exact on polynomials, but it reaches the rounding
+    # level, and the rounding term keeps the estimate above the error
+    cfg = quad.QuadratureConfig(abs_tol=1e-12)
+    res = quad.integrate_adaptive(lambda t: t**3, 0.0, 1.0, cfg)
+    assert abs(res.value - 0.25) <= res.error_estimate < 1e-15
 
 
 def test_integrate_adaptive_smooth():
@@ -82,10 +118,9 @@ def test_phi_numeric_frozen(rho):
     assert abs(got - PHI_T50[rho]) < PHI_TOL[rho], (rho, got)
 
 
-# (n_evals, max_depth_used) at the default config: the panel tree is
-# deterministic, and these are the counts of the depth-first recursion the
-# level-by-level integrator replaced
-PHI_COUNTERS = {0.0: (1709, 13), 0.5: (8881, 26), 1.0: (3973, 26), 2.0: (1189, 13)}
+# (n_evals, max_depth_used) at the default config: the nodes and the
+# levels at which each panel closes are deterministic
+PHI_COUNTERS = {0.0: (1074, 5), 0.5: (677, 5), 1.0: (1098, 5), 2.0: (827, 5)}
 
 
 @pytest.mark.parametrize("rho", sorted(PHI_COUNTERS))
@@ -94,108 +129,101 @@ def test_phi_numeric_counters(rho):
     assert (det.n_evals, det.max_depth_used) == PHI_COUNTERS[rho]
 
 
-def _recursive_simpson(f, a, b, cfg):
-    """The depth-first adaptive Simpson that the level-by-level integrator
-    replaced, kept as the reference for its results: (value, error,
-    n_evals, max_depth_used)."""
-    acc = {"err": 0.0, "evals": 3, "depth": 0}
-
-    def simpson(fa, fm, fb, width):
-        return width / 6.0 * (fa + 4.0 * fm + fb)
-
-    def panel(a, b, fa, fm, fb, tol, depth):
-        m = 0.5 * (a + b)
-        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
-        acc["evals"] += 2
-        whole = simpson(fa, fm, fb, b - a)
-        split = simpson(fa, flm, fm, m - a) + simpson(fm, frm, fb, b - m)
-        err = abs(split - whole) / 15.0
-        if err <= tol or (b - a) < quad._MIN_WIDTH:
-            if not math.isfinite(split):
-                raise ConvergenceError(
-                    f"non-finite integrand on panel [{a:.6g}, {b:.6g}]"
-                )
-            acc["err"] += err
-            return split + (split - whole) / 15.0
-        if depth >= cfg.max_depth:
-            raise ConvergenceError(
-                f"panel [{a:.6g}, {b:.6g}] not converged at depth limit "
-                f"{cfg.max_depth}: error {err:.3g} > {tol:.3g}"
-            )
-        acc["depth"] = max(acc["depth"], depth + 1)
-        out_l = panel(a, m, fa, flm, fm, tol / 2.0, depth + 1)
-        return out_l + panel(m, b, fm, frm, fb, tol / 2.0, depth + 1)
-
-    value = panel(a, b, f(a), f(0.5 * (a + b)), f(b), cfg.abs_tol, 0)
-    return value, acc["err"], acc["evals"], acc["depth"]
-
-
 def _cusps(t):
     return math.sqrt(abs(t - 0.3)) + math.sqrt(abs(t - 0.8))
 
 
 @pytest.mark.parametrize(
-    "f,a,b,kwargs",
+    "f,kwargs,want",
     [
-        (math.cos, -1.0, 1.0, {"abs_tol": 1e-12}),
-        (math.exp, 0.0, 1.0, {}),
-        (lambda t: t**3, 0.0, 1.0, {}),
-        (_cusps, 0.0, 1.0, {"abs_tol": 1e-12}),
-        (_cusps, 0.0, 1.0, {"abs_tol": 1e-30}),  # ends in _MIN_WIDTH close-outs
-        (lambda t: math.log(abs(t - 1.7)) / (1 + t * t), 0.0, 5.0, {"abs_tol": 1e-10}),
+        (
+            _cusps,
+            {"abs_tol": 1e-14, "max_depth": 3},
+            "panel [0, 1] not converged at depth limit 3: error 0.00809 > 1e-14",
+        ),
+        (
+            _cusps,
+            {"abs_tol": 1e-14, "max_depth": 2},
+            "panel [0, 1] not converged at depth limit 2: error 0.0325 > 1e-14",
+        ),
+        (lambda t: math.inf if t > 0.5 else 1.0, {}, "non-finite integrand on panel [0, 1]"),
+        (
+            lambda t: math.nan if 0.2 < t < 0.4 or t > 0.7 else t,
+            {},
+            "non-finite integrand on panel [0, 1]",
+        ),
     ],
+    ids=["depth3", "depth2", "inf", "nan"],
 )
-def test_level_loop_matches_recursion(f, a, b, kwargs):
-    cfg = quad.QuadratureConfig(**kwargs)
-    got = quad.integrate_adaptive(f, a, b, cfg)
-    assert tuple(got) == _recursive_simpson(f, a, b, cfg)
-
-
-@pytest.mark.parametrize(
-    "f,kwargs",
-    [
-        (_cusps, {"abs_tol": 1e-14, "max_depth": 3}),  # several panels fail at once
-        (_cusps, {"abs_tol": 1e-14, "max_depth": 2}),
-        (lambda t: math.inf if t > 0.5 else 1.0, {}),
-        (lambda t: math.nan if 0.2 < t < 0.4 or t > 0.7 else t, {}),
-    ],
-)
-def test_failures_match_recursion(f, kwargs):
-    cfg = quad.QuadratureConfig(**kwargs)
-    with pytest.raises(ConvergenceError) as want:
-        _recursive_simpson(f, 0.0, 1.0, cfg)
+def test_failure_messages(f, kwargs, want):
     with pytest.raises(ConvergenceError) as got:
-        quad.integrate_adaptive(f, 0.0, 1.0, cfg)
-    assert str(got.value) == str(want.value)
+        quad.integrate_adaptive(f, 0.0, 1.0, quad.QuadratureConfig(**kwargs))
+    assert str(got.value) == want
 
 
-@pytest.mark.parametrize("rho", [0.5, 2.0])
-def test_phi_numeric_matches_recursion(rho):
-    # the scalar integrand under the recursive rule: the same panels and
-    # sums, so the same bits
-    cfg = quad.QuadratureConfig()
+def test_failures_name_the_leftmost_panel():
+    # panel [0, 1] closes; [1, 2] and [2, 3] hold a kink or a NaN each
+    edges = [0.0, 1.0, 2.0, 3.0]
+    cfg = quad.QuadratureConfig(abs_tol=1e-9, max_depth=3)
+    kinks = lambda t: np.sqrt(np.abs(t - 1.5)) + np.sqrt(np.abs(t - 2.5))
+    want = r"^panel \[1, 2\] not converged at depth limit 3: error \S+ > 3.33e-10$"
+    with pytest.raises(ConvergenceError, match=want):
+        quad._integrate(kinks, edges, cfg)
+    nans = lambda t: np.where(t > 1.5, math.nan, t)
+    with pytest.raises(ConvergenceError, match=r"^non-finite integrand on panel \[1, 2\]$"):
+        quad._integrate(nans, edges, cfg)
 
-    def integrand(t):
-        raw = max(specfun.log_abs_zeta(complex(rho, t)), quad._LOG_FLOOR)
-        return raw / (0.25 + t * t)
 
-    det = quad.phi_numeric(rho)
-    got = (det.value, det.error_estimate, det.n_evals, det.max_depth_used)
-    assert got == _recursive_simpson(integrand, 0.0, cfg.t_max, cfg)
+def test_zero_ordinates_match_zetazero():
+    got = quad._zero_ordinates(200.0)
+    assert len(got) == len(ZETA_ZEROS)
+    assert max(abs(a - b) for a, b in zip(got, ZETA_ZEROS)) <= 1e-12
+
+
+def test_phi_numeric_t_max_on_first_zero():
+    # t_max a few ulp above the first ordinate leaves a last panel a few
+    # ulp wide; with its equal share of the tolerance it still closes
+    cfg = quad.QuadratureConfig(t_max=14.1347251417347)
+    assert quad._zero_ordinates(cfg.t_max) == (14.134725141734693,)
+    below = quad.QuadratureConfig(t_max=14.134725141734693)
+    assert quad._zero_ordinates(below.t_max) == ()
+    got = quad.phi_numeric(0.5, cfg)
+    assert got.error_estimate <= cfg.abs_tol
+    assert abs(got.value - quad.phi_numeric(0.5, below).value) <= 1e-12
+
+
+def test_missed_zero_refuses(monkeypatch):
+    # the ordinates are hints: without the first one the rho = 1/2 line
+    # keeps a log singularity inside a panel and exits 3 rather than print a
+    # wrong value, while a line beside the zeros only costs more nodes
+    beside = quad.phi_numeric(0.45).value
+    zeros = quad._zero_ordinates(50.0)[1:]
+    monkeypatch.setattr(quad, "_zero_ordinates", lambda t_max: zeros)
+    with pytest.raises(ConvergenceError, match="above the cap"):
+        quad.phi_numeric(0.5)
+    assert abs(quad.phi_numeric(0.45).value - beside) <= 1e-11
 
 
 @pytest.mark.parametrize("rho", [-1.0, 0.0, 0.5, 1.0, 2.0])
 def test_line_kernel_matches_scalar(rng, rho):
+    # the same sum in numpy's complex arithmetic: equal to rounding where
+    # |zeta| >= 1e-3
     t = [rng.uniform(-200.0, 200.0) for _ in range(150)]
     t += [rng.uniform(0.0, 50.0) for _ in range(150)]
-    if rho == 0.5:  # on top of the first zero, |zeta| ~ 1e-7
-        t += [14.134725 + rng.uniform(-1e-6, 1e-6) for _ in range(40)]
     if rho == 1.0:  # beside the pole
         t += [1e-12 + rng.uniform(-5e-13, 5e-13) for _ in range(40)]
     got = quad.log_abs_zeta_line(rho, np.array(t))
     want = np.array([specfun.log_abs_zeta(complex(rho, x)) for x in t])
     assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12
+    far = want >= math.log(1e-3)
+    assert np.max(np.abs(got - want)[far]) <= 1e-12
+    if rho == 0.5:
+        # on top of the first zero, |zeta| ~ 1e-7, both paths cancel down to
+        # their rounding, so their moduli agree rather than their logs
+        t = np.array([14.134725 + rng.uniform(-1e-6, 1e-6) for _ in range(40)])
+        got = np.exp(quad.log_abs_zeta_line(rho, t))
+        want = np.array([abs(specfun.zeta(complex(rho, x))) for x in t])
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_line_kernel_error_signals(monkeypatch):
@@ -230,15 +258,22 @@ def test_phi_numeric_coarse_references(rho, coarse):
     assert abs(quad.phi_numeric(rho).value - coarse) < 1e-3
 
 
-def test_phi_error_estimate_honest_on_smooth_lines():
-    # only claimed where the line stays clear of zeros and the pole
-    for rho in (0.0, 0.2, 0.8, 2.0):
-        det = quad.phi_numeric(rho)
-        assert abs(det.value - PHI_T50[rho]) <= 5.0 * det.error_estimate + 1e-9
+def test_phi_error_estimate_contains_reference():
+    # every line of the benchmark's grid on [-1, 3]: the 20-digit reference
+    # lies within the error estimate, with no factor or slack
+    refs = json.loads(REFS.read_text(encoding="utf-8"))["table"]
+    assert refs["t_max"] == quad.QuadratureConfig().t_max
+    assert len(refs["phi_truncated"]) == 81
+    with mpmath.workdps(30):
+        for key, ref in refs["phi_truncated"].items():
+            det = quad.phi_numeric(float(key))
+            err = abs(mpmath.mpf(det.value) - mpmath.mpf(ref))
+            assert err <= det.error_estimate, (key, err, det.error_estimate)
+            assert err <= 1e-11, (key, err)
 
 
 def test_panel_cap(monkeypatch):
-    monkeypatch.setattr(quad, "_MAX_PANELS", 64)
+    monkeypatch.setattr(quad, "_MAX_NODES", 64)
     cfg = quad.QuadratureConfig(abs_tol=1e-10)
     want = r"open at depth \d+, above the cap 64: tolerance 1e-10"
     with pytest.raises(ConvergenceError, match=want):
