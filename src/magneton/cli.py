@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import math
+import os
 import sys
 
 from . import __version__, diagnostics, magneton, quad, specfun, taylor
@@ -124,18 +125,25 @@ def cmd_table(args) -> int:
     cfg = quad.QuadratureConfig(
         t_max=args.t_max, abs_tol=args.tol, max_depth=args.max_depth
     )
-
-    def row(rho: float) -> str:
-        closed = magneton.phi_closed(rho, args.mode)
-        numeric = quad.phi_numeric(rho, cfg).value
-        f_val = magneton.symmetry_defect(rho)
-        return ",".join(
-            _fmt(v) for v in (rho, numeric, closed, abs(numeric - closed), f_val)
-        )
-
-    # all rows are computed before a single byte is written, so a failure
-    # never leaves a truncated table behind
-    rows = [row(rho) for rho in rhos]
+    # the closed forms run row by row and the quadrature on every line at
+    # once, yet a failure is raised as a row-by-row loop would meet it: the
+    # first failing row, and within it phi_closed, the quadrature, then
+    # symmetry_defect.  All rows are computed before a single byte is
+    # written, so a failure never leaves a truncated table behind.
+    closed, symmetry, late = [], [], None
+    try:
+        for rho in rhos:
+            closed.append(magneton.phi_closed(rho, args.mode))
+            symmetry.append(magneton.symmetry_defect(rho))
+    except (MagnetonError, ArithmeticError, ValueError) as exc:
+        late = exc
+    numeric = [res.value for res in quad.phi_numeric_lines(rhos[: len(closed)], cfg)]
+    if late is not None:
+        raise late
+    rows = [
+        ",".join(_fmt(v) for v in (rho, num, c, abs(num - c), f))
+        for rho, num, c, f in zip(rhos, numeric, closed, symmetry)
+    ]
     params = {
         "rho": "[" + " ".join(_fmt(r) for r in rhos) + "]",
         "t_max": _fmt(args.t_max),
@@ -394,6 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # numpy starts an OpenBLAS thread pool on import, and nothing here calls
+    # BLAS; a value the caller set stays
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     args.mode = _RH_MODES[args.rh_mode]
     try:

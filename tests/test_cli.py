@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -109,6 +110,26 @@ def test_table_panel_cap(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: ")
     assert "above the cap 64" in err and "depth" in err and "1e-10" in err
+
+
+@pytest.mark.parametrize(
+    "rhos,first,code", [(["2", "0.5"], "2", 3), (["0.5", "2"], "0.5", 2)]
+)
+def test_table_raises_the_first_failing_row(capsys, rhos, first, code):
+    # the quadrature runs on every line at once, yet the error is the one
+    # the first failing row meets alone: 2 fails its quadrature at depth 4,
+    # 0.5 is refused by phi_closed outside the strip mode
+    flags = ["--max-depth", "4", "--rh-mode", "outside-only"]
+    want = run(["table", "--rho", first, *flags], capsys)
+    assert want[0] == code
+    assert run(["table", "--rho", *rhos, *flags], capsys) == want
+
+
+def test_table_node_cap_inside_a_batch(monkeypatch, capsys):
+    monkeypatch.setattr(quad, "_MAX_NODES", 300)
+    want = run(["table", "--rho", "1"], capsys)
+    assert want[0] == 3 and "450 nodes" in want[2]
+    assert run(["table", "--rho", "2", "0.5", "1", "0.2"], capsys) == want
 
 
 @pytest.mark.parametrize(
@@ -457,6 +478,48 @@ def test_scalar_commands_leave_numpy_unloaded(args):
     }
     assert "magneton.cli" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+
+
+_RUN_TABLE = """
+import os, sys
+from magneton import cli
+code = cli.main(["table", "--rho", "2", "--out", os.devnull])
+print(code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_table_starts_no_blas_threads(preset):
+    # numpy's OpenBLAS pool would add a thread that nothing uses; a value
+    # the caller set is left as it is
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_TABLE], env=env, capture_output=True, text=True, timeout=60
+    )
+    code, threads, setting = proc.stdout.split()
+    assert (code, setting) == ("0", preset or "1")
+    if not preset:
+        assert threads == "1"
+
+
+_RUN_ARRAY_COMMANDS = """
+import os, sys
+from magneton import cli
+for argv in (["table", "--rho", "0.5", "1", "2"], ["taylor", "--order", "3"]):
+    assert cli.main([*argv, "--out", os.devnull]) == 0
+print("numpy" in sys.modules, "numpy.ma" in sys.modules)
+"""
+
+
+def test_array_commands_leave_numpy_ma_unloaded():
+    # importing numpy.ma (np.unique does) costs about 1.3 MB of peak RSS
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_ARRAY_COMMANDS], capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.split() == ["True", "False"], proc.stderr
 
 
 def test_numpy_integers_still_accepted():

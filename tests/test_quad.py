@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -165,11 +166,11 @@ def test_failures_name_the_leftmost_panel():
     # panel [0, 1] closes; [1, 2] and [2, 3] hold a kink or a NaN each
     edges = [0.0, 1.0, 2.0, 3.0]
     cfg = quad.QuadratureConfig(abs_tol=1e-9, max_depth=3)
-    kinks = lambda t: np.sqrt(np.abs(t - 1.5)) + np.sqrt(np.abs(t - 2.5))
+    kinks = lambda t: lambda lines: (np.sqrt(np.abs(t - 1.5)) + np.sqrt(np.abs(t - 2.5)))[None, :]
     want = r"^panel \[1, 2\] not converged at depth limit 3: error \S+ > 3.33e-10$"
     with pytest.raises(ConvergenceError, match=want):
         quad._integrate(kinks, edges, cfg)
-    nans = lambda t: np.where(t > 1.5, math.nan, t)
+    nans = lambda t: lambda lines: np.where(t > 1.5, math.nan, t)[None, :]
     with pytest.raises(ConvergenceError, match=r"^non-finite integrand on panel \[1, 2\]$"):
         quad._integrate(nans, edges, cfg)
 
@@ -270,6 +271,83 @@ def test_phi_error_estimate_contains_reference():
             err = abs(mpmath.mpf(det.value) - mpmath.mpf(ref))
             assert err <= det.error_estimate, (key, err, det.error_estimate)
             assert err <= 1e-11, (key, err)
+
+
+def _grid() -> list[float]:
+    """The 81 lines of the benchmark's table grid on [-1, 3]."""
+    refs = json.loads(REFS.read_text(encoding="utf-8"))["table"]["phi_truncated"]
+    return sorted(float(key) for key in refs)
+
+
+def test_lines_equal_each_line_alone(monkeypatch):
+    # the lines share nodes and tables, never sums or decisions: every
+    # result is the one its line gets alone, whatever the list around it
+    grid = _grid()
+    alone = [quad.phi_numeric(rho) for rho in grid]
+    assert quad.phi_numeric_lines(grid) == alone
+    assert quad.phi_numeric_lines(grid[::-1]) == alone[::-1]
+    assert quad.phi_numeric_lines(grid[5:40:3]) == alone[5:40:3]
+    monkeypatch.setattr(quad, "_LINE_BATCH", 7)
+    assert quad.phi_numeric_lines(grid[::4]) == alone[::4]
+
+
+def test_lines_build_one_n_it_row_per_node(monkeypatch):
+    # the 81 grid lines at T = 50 evaluate 73,567 (line, node) pairs at
+    # 1,146 distinct nodes, and each node's n^-it row is built once
+    rows = []
+    build = quad._n_pow_it
+    monkeypatch.setattr(quad, "_n_pow_it", lambda t, m: rows.append(t.size) or build(t, m))
+    got = quad.phi_numeric_lines(_grid())
+    assert sum(det.n_evals for det in got) == 73567
+    assert sum(rows) == 1146
+
+
+@pytest.mark.parametrize("n", [40, 400])
+def test_lines_memory_peak(n):
+    # batches of lines and capped kernel blocks keep the traced peak flat
+    lines = [round(-1.0 + 4.0 * i / n, 3) for i in range(n)]
+    quad.phi_numeric_lines(lines[:1])  # the zero ordinates and log table, once
+    tracemalloc.start()
+    try:
+        quad.phi_numeric_lines(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def _alone(rho: float, cfg: quad.QuadratureConfig):
+    try:
+        return quad.phi_numeric(rho, cfg)
+    except ConvergenceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "lines,depth",
+    [
+        ([2.0, 0.5, 1.0, 0.2], 40),  # 1.0 is the first line over the cap
+        ([2.0, 1.0], 4),  # 1.0 meets the cap on level 4 before 2.0 ends it
+        ([1.0, 2.0], 4),
+    ],
+)
+def test_lines_raise_the_first_failure_alone(monkeypatch, lines, depth):
+    monkeypatch.setattr(quad, "_MAX_NODES", 300)
+    cfg = quad.QuadratureConfig(max_depth=depth)
+    first = next(a for a in (_alone(rho, cfg) for rho in lines) if isinstance(a, str))
+    with pytest.raises(ConvergenceError) as got:
+        quad.phi_numeric_lines(lines, cfg)
+    assert str(got.value) == first
+
+
+def test_lines_refuse_in_order():
+    cfg = quad.QuadratureConfig(max_depth=4)
+    with pytest.raises(ConvergenceError, match="depth limit 4"):
+        quad.phi_numeric_lines([2.0, math.nan], cfg)
+    with pytest.raises(DomainError, match="finite"):
+        quad.phi_numeric_lines([math.nan, 2.0], cfg)
+    with pytest.raises(DomainError, match="left of the supported window"):
+        quad.phi_numeric_lines([0.5, -5.0])
 
 
 def test_panel_cap(monkeypatch):
