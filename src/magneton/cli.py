@@ -21,7 +21,7 @@ import math
 import os
 import sys
 
-from . import __version__, diagnostics, magneton, quad, specfun, taylor
+from . import __version__, diagnostics, magneton, specfun
 from .errors import ConvergenceError, CrossCheckError, DomainError, MagnetonError
 
 _GAMMA = specfun.EULER_GAMMA
@@ -29,6 +29,11 @@ _JUMP_OFFSET = 1e-6
 # Most rows one rho list or figure grid may hold; counted before anything
 # is allocated, so a tiny step is refused instead of exhausting memory.
 _MAX_ROWS = 1_000_000
+# The defaults of quad.QuadratureConfig and of taylor.compute_coefficients,
+# restated so that building the parser imports neither module (a test
+# keeps the two in step); the table and taylor commands import them.
+_TABLE_DEFAULTS = {"t_max": 50.0, "abs_tol": 1e-8, "max_depth": 40}
+_TAYLOR_DEFAULTS = {"order": 13, "prime_limit": 10**6, "k_max": 60}
 _RH_MODES = {
     "conditional": magneton.RhMode.CONDITIONAL_RH,
     "outside-only": magneton.RhMode.OUTSIDE_STRIP_ONLY,
@@ -121,6 +126,8 @@ def _parse_rho_spec(tokens: list[str]) -> list[float]:
 
 
 def cmd_table(args) -> int:
+    from . import quad
+
     rhos = _parse_rho_spec(args.rho)
     cfg = quad.QuadratureConfig(
         t_max=args.t_max, abs_tol=args.tol, max_depth=args.max_depth
@@ -305,6 +312,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_taylor(args) -> int:
+    from . import taylor
+
     if args.order < 0 or args.order > 20:
         raise DomainError(f"order must be in [0, 20], got {args.order}")
     coeffs = taylor.compute_coefficients(
@@ -367,13 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--rho", nargs="+", required=True, help="rho values and/or lo:hi:step ranges"
     )
-    defaults = quad.QuadratureConfig()
-    p_table.add_argument("--t-max", type=float, default=defaults.t_max)
-    p_table.add_argument("--tol", type=float, default=defaults.abs_tol)
+    p_table.add_argument("--t-max", type=float, default=_TABLE_DEFAULTS["t_max"])
+    p_table.add_argument("--tol", type=float, default=_TABLE_DEFAULTS["abs_tol"])
     p_table.add_argument(
         "--max-depth",
         type=int,
-        default=defaults.max_depth,
+        default=_TABLE_DEFAULTS["max_depth"],
         help="quadrature levels per panel, each halving the node step",
     )
     p_table.set_defaults(func=cmd_table)
@@ -393,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_taylor = sub.add_parser(
         "taylor", parents=[common], help="prime-sum Taylor coefficient report"
     )
-    p_taylor.add_argument("--order", type=int, default=taylor.DEFAULT_ORDER)
-    p_taylor.add_argument("--prime-limit", type=int, default=taylor.DEFAULT_PRIME_LIMIT)
-    p_taylor.add_argument("--k-max", type=int, default=taylor.DEFAULT_K_MAX)
+    p_taylor.add_argument("--order", type=int, default=_TAYLOR_DEFAULTS["order"])
+    p_taylor.add_argument("--prime-limit", type=int, default=_TAYLOR_DEFAULTS["prime_limit"])
+    p_taylor.add_argument("--k-max", type=int, default=_TAYLOR_DEFAULTS["k_max"])
     p_taylor.add_argument("--tail-budget", type=float, default=None)
     p_taylor.set_defaults(func=cmd_taylor)
     return parser

@@ -304,7 +304,10 @@ def _zeta_lines(rhos: list[float], t_top: float):
                     npow = npow / (n_trunc * n_trunc)
                 corr += coef * poch * npow
             reg = (s - 1.0) * (base + n_pow_ms / 2.0 + corr) + np.exp((1.0 - s) * ln_big)
-            az = np.abs(reg / (s - 1.0))
+            # next to the pole (rho = 1, t ~ 1e-308) the quotient overflows
+            # to inf, which the integration refuses as a non-finite value
+            with np.errstate(over="ignore"):
+                az = np.abs(reg / (s - 1.0))
             out = np.full(s.shape, -math.inf)
             hit = az >= specfun._ZERO_FLOOR
             out[hit] = np.log(az[hit])

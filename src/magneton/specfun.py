@@ -302,9 +302,10 @@ def xi(s) -> complex:
 
 
 def sieve_primes(limit: int):
-    """The primes <= limit, ascending, as a numpy integer array, by the
-    Eratosthenes sieve.  The flag array costs about `limit` bytes; a
-    request beyond _SIEVE_BUDGET bytes raises instead of thrashing."""
+    """The primes <= limit, ascending, as a numpy int64 array, by the
+    Eratosthenes sieve over the odd numbers.  The flag array costs about
+    limit/2 bytes; a request whose limit + 1 exceeds _SIEVE_BUDGET raises
+    instead of thrashing."""
     if not isinstance(limit, Integral) or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if limit + 1 > _SIEVE_BUDGET:
@@ -313,12 +314,17 @@ def sieve_primes(limit: int):
         )
     import numpy as np
 
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(int(limit)) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags)
+    limit = int(limit)
+    # flag i stands for 2i + 1, except flag 0, which stands for 2
+    flags = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit) + 1) // 2):
+        if flags[i]:
+            flags[2 * i * (i + 1) :: 2 * i + 1] = False  # (2i + 1)^2 on
+    primes = np.flatnonzero(flags)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def exp_integral_e1(z: float) -> float:

@@ -11,8 +11,10 @@ cutoff remainder.  The slack is not a proof; at some table limits the
 true error exceeds it (see _TAIL_FLUCTUATION_REL).  The bound grows
 explosively with the order, which is the quantitative statement that
 high coefficients cannot be trusted from primes alone.  A high-precision
-reference route provides the same coefficients without prime truncation
-for cross-checks.
+reference route provides the same coefficients without primes, for
+cross-checks: one Euler-Maclaurin pass over power series in s - 3/2 gives
+every zeta^(k)(3/2)/k! at once, to within a stated bound, at 50 digits
+(see _DPS for why that many).
 
 Evaluating the series rearranged at x = 1 recovers ln|xi(1)| = 0 through
 a near-total cancellation, and its slope estimates the first Li/Keiper
@@ -28,8 +30,11 @@ from . import specfun
 from .errors import ConvergenceError, DomainError
 
 _LN_PI = specfun.LN_PI
-_DPS = 40  # working precision of the exact route
-DEFAULT_ORDER = 13
+# Working precision of the exact route.  C_20 comes out near -3.6e-7 as the
+# difference of 20! g_20 and its rational part, both near 1.3e23, and the
+# value at one cancels O(1) terms again down to 3e-32: at 40 digits the
+# order-20 value kept 10 correct digits, at 50 it keeps 19.
+_DPS = 50
 DEFAULT_PRIME_LIMIT = 10**6
 DEFAULT_K_MAX = 60
 _K_GUARD = 8  # extra prime-power blocks measured for the cutoff bound
@@ -214,9 +219,100 @@ def compute_coefficients(
     return TaylorCoefficients(tuple(c), tuple(c_bounds), tail_bound)
 
 
-def _coefficients_mp(order: int, mp):
-    """C_0..C_order as mp numbers at the caller's working precision."""
-    f = [mp.zeta(mp.mpf(3) / 2, derivative=k) / mp.factorial(k) for k in range(order + 1)]
+def _em_log_bound(terms: int) -> float:
+    """ln of a bound on the error of every f_k from _zeta_taylor(terms).
+
+    With N = M = terms, the Euler-Maclaurin remainder of zeta(s) after M
+    Bernoulli terms is, up to sign,
+
+        R = int_N^inf (P(x) - B_(2M+2))/(2M+2)! (s)_(2M+2) x^(-s-2M-2) dx,
+
+    P the periodic Bernoulli function of order 2M+2, so |P - B_(2M+2)| <=
+    2|B_(2M+2)|, and |B_2m|/(2m)! = 2 zeta(2m)/(2 pi)^2m <= 2 zeta(4)/(2 pi)^2m.
+    On the circle |h| = 1 about s = 3/2, |(s)_(2M+2)| <= (5/2)_(2M+2) =
+    Gamma(2M+9/2)/Gamma(5/2) and Re s >= 1/2, so there
+
+        |R| <= 4 zeta(4)/(2 pi)^(2M+2) Gamma(2M+9/2)/Gamma(5/2)
+               N^(-2M-3/2)/(2M+3/2).
+
+    R is analytic in the disc (the pole at s = 1 is the term
+    N^(1-s)/(s-1), expanded exactly), so by Cauchy's estimate its k-th
+    Taylor coefficient in h, the error of f_k, obeys the same bound."""
+    m2 = 2 * terms
+    return (
+        math.log(4.0 * math.pi**4 / 90.0)
+        - (m2 + 2) * math.log(2.0 * math.pi)
+        + math.lgamma(m2 + 4.5)
+        - math.lgamma(2.5)
+        - (m2 + 1.5) * math.log(terms)
+        - math.log(m2 + 1.5)
+    )
+
+
+def _em_terms(digits: int) -> int:
+    """The least N = M whose _em_log_bound is below 10^-(digits + 2)."""
+    target = -(digits + 2) * math.log(10.0)
+    terms = 1
+    while _em_log_bound(terms) >= target:
+        terms += 1
+    return terms
+
+
+_EM_TERMS = _em_terms(_DPS)  # 30 at 50 digits: every f_k within 3.9e-54
+
+
+def _zeta_taylor(order: int, mp, terms: int) -> list:
+    """f_k = zeta^(k)(3/2)/k! for k = 0..order, in one Euler-Maclaurin pass
+    over power series in h = s - 3/2 truncated after h^order:
+
+        zeta(s) = sum_(n<N) n^-s + N^-s Q(h),
+        Q(h) = N/(1/2 + h) + 1/2 + sum_(j<=M) B_2j/(2j)! (s)_(2j-1) N^(1-2j),
+
+    with N = M = terms and (s)_m = s(s+1)...(s+m-1).  Beside rounding, every
+    f_k is within exp(_em_log_bound(terms)) of the truth."""
+    half = mp.mpf(1) / 2
+    inv_fact = [1 / mp.factorial(k) for k in range(order + 1)]
+
+    def powers(n):  # k! [h^k] n^-s = n^-3/2 (-ln n)^k
+        t, step = mp.mpf(n) ** (-3 * half), -mp.log(n)
+        out = [t]
+        for _ in range(order):
+            t *= step
+            out.append(t)
+        return out
+
+    def times_linear(p, a):  # p *= a + h, truncated
+        for k in range(order, 0, -1):
+            p[k] = p[k] * a + p[k - 1]
+        p[0] *= a
+
+    partial = [mp.mpf(0)] * (order + 1)
+    for n in range(1, terms):
+        for k, t in enumerate(powers(n)):
+            partial[k] += t
+    q = [mp.mpf(2 * terms * (-2) ** k) for k in range(order + 1)]
+    q[0] += half
+    rising = [mp.mpf(1)] + [mp.mpf(0)] * order
+    inv_n2 = mp.mpf(terms) ** -2
+    scale = terms * inv_n2  # N^(1-2j)
+    for j in range(1, terms + 1):
+        times_linear(rising, 2 * j - half)  # now (s)_(2j-1)
+        b = mp.bernoulli(2 * j) / mp.factorial(2 * j) * scale
+        for k in range(order + 1):
+            q[k] += b * rising[k]
+        times_linear(rising, 2 * j + half)
+        scale *= inv_n2
+    e = [t * c for t, c in zip(powers(terms), inv_fact)]
+    return [
+        partial[k] * inv_fact[k] + mp.fsum(e[i] * q[k - i] for i in range(k + 1))
+        for k in range(order + 1)
+    ]
+
+
+def _coefficients_mp(f, mp):
+    """C_0..C_order as mp numbers at the caller's working precision, from
+    f_k = zeta^(k)(3/2)/k! for k = 0..order."""
+    order = len(f) - 1
     # series coefficients g of ln(sum f_k u^k): n g_n = n f_n/f_0 - sum j g_j f_(n-j)/f_0
     g = [mp.log(f[0])]
     for n in range(1, order + 1):
@@ -249,16 +345,17 @@ def _coefficients_mp(order: int, mp):
 
 
 def compute_coefficients_exact(order: int) -> tuple:
-    """Reference route: C_0..C_order from high-precision zeta derivatives
-    (no prime truncation).  Used as the cross-check oracle for the prime
-    route and for the deep-cancellation sums the prime route cannot
-    support."""
+    """Reference route: C_0..C_order from the zeta derivatives of
+    _zeta_taylor at _DPS digits (no primes).  Used as the cross-check
+    oracle for the prime route and for the deep-cancellation sums the
+    prime route cannot support."""
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order!r}")
     import mpmath as mp
 
     with mp.workdps(_DPS):
-        return tuple(float(v) for v in _coefficients_mp(order, mp))
+        c = _coefficients_mp(_zeta_taylor(order, mp, _EM_TERMS), mp)
+        return tuple(float(v) for v in c)
 
 
 def _rearranged(c, k: int, half, fsum, factorial) -> Rearranged:
@@ -292,6 +389,6 @@ def rearranged_at_one_exact(order: int) -> Rearranged:
     import mpmath as mp
 
     with mp.workdps(_DPS):
-        c = _coefficients_mp(order, mp)
+        c = _coefficients_mp(_zeta_taylor(order, mp, _EM_TERMS), mp)
         r = _rearranged(c, order, -mp.mpf(1) / 2, mp.fsum, mp.factorial)
         return Rearranged._make(float(v) for v in r)

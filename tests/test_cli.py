@@ -9,7 +9,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from magneton import cli, magneton, quad, specfun
+from magneton import cli, magneton, quad, specfun, taylor
 from magneton.errors import ConvergenceError, CrossCheckError, DomainError, MagnetonError
 
 GAMMA = 0.5772156649015328606065
@@ -163,6 +163,14 @@ def test_table_unreachable_tolerance_stops():
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
     assert "tolerance 1e-17" in proc.stderr
+
+
+def test_table_pole_line_on_a_tiny_panel(capsys):
+    # nodes within 1e-308 of the pole overflow |zeta|; the refusal is the
+    # only line on stderr, with no numpy warning before it
+    code, out, err = run(["table", "--rho", "1", "--t-max", "1e-300"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "error: non-finite integrand on panel [0, 1e-300]\n"
 
 
 @pytest.mark.parametrize("rho", ["-5", "-200"])
@@ -425,6 +433,22 @@ def test_taylor_k_max_ceiling(capsys):
     assert err.startswith("error: k_max must be <= 716") and err.count("\n") == 1
 
 
+def test_taylor_sieve_budget_refusal(capsys):
+    # the budget counts limit + 1 bytes, as the full-flag sieve needed
+    code, out, err = run(["taylor", "--prime-limit", "2000000000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: sieve to 2000000000 needs ~2000000001 bytes, budget is 1073741824\n"
+
+
+def test_parser_defaults_are_the_modules_defaults():
+    # build_parser restates them so that it need not import quad or taylor
+    cfg = quad.QuadratureConfig()
+    table = cli.build_parser().parse_args(["table", "--rho", "2"])
+    assert (table.t_max, table.tol, table.max_depth) == (cfg.t_max, cfg.abs_tol, cfg.max_depth)
+    report = cli.build_parser().parse_args(["taylor"])
+    assert (report.prime_limit, report.k_max) == (taylor.DEFAULT_PRIME_LIMIT, taylor.DEFAULT_K_MAX)
+
+
 def test_taylor_nan_budget(capsys):
     # a nan budget would compare False against every bound, never applied
     code, out, err = run(["taylor", "--tail-budget", "nan"], capsys)
@@ -478,6 +502,7 @@ def test_scalar_commands_leave_numpy_unloaded(args):
     }
     assert "magneton.cli" in loaded
     assert not [m for m in loaded if m.split(".")[0] == "numpy"]
+    assert not loaded & {"magneton.quad", "magneton.taylor"}
 
 
 _RUN_TABLE = """

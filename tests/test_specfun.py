@@ -215,6 +215,25 @@ def test_sieve_count_1e6():
     assert len(specfun.sieve_primes(10**6)) == 78498
 
 
+def _full_flag_sieve(limit):
+    # the sieve over every integer that the odd-only one replaced
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(int(limit)) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return np.flatnonzero(flags)
+
+
+def test_sieve_equals_full_flag_sieve():
+    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101)
+    squares = [p * p + d for p in small for d in (-1, 0, 1)]
+    for limit in [*range(2, 301), *squares, 10**6, 10**7 - 100, 10**7 + 100]:
+        got, want = specfun.sieve_primes(limit), _full_flag_sieve(limit)
+        assert got.dtype == want.dtype == np.int64, limit
+        assert np.array_equal(got, want), limit
+
+
 def test_sieve_capacity():
     with pytest.raises(DomainError, match="budget"):
         specfun.sieve_primes(10**11)

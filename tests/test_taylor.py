@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -212,6 +213,46 @@ def test_rearranged_exact_route_pins():
     assert abs(r13.value) <= 1e-18  # the deep-cancellation headline
     assert abs(r13.slope - mg.lambda_one()) <= 1e-12
     assert r13.curvature == pytest.approx(0.0230771586479023, rel=1e-11)
+
+
+@pytest.fixture(scope="module")
+def zeta_oracle():
+    """zeta^(k)(3/2)/k! for k <= 20 from mpmath's own zeta, at 80 digits."""
+    with mp.workdps(80):
+        return [mp.zeta(mp.mpf(3) / 2, derivative=k) / mp.factorial(k) for k in range(21)]
+
+
+def test_zeta_series_within_its_bound(zeta_oracle):
+    # at 70 digits the rounding (about 1e-64) is far below the bound, so
+    # what is left is the Euler-Maclaurin truncation the bound covers
+    bound = math.exp(taylor._em_log_bound(taylor._EM_TERMS))
+    assert bound < 10.0 ** -(taylor._DPS + 2)
+    with mp.workdps(70):
+        for order in range(21):
+            f = taylor._zeta_taylor(order, mp, taylor._EM_TERMS)
+            assert len(f) == order + 1
+            for k, (got, want) in enumerate(zip(f, zeta_oracle)):
+                assert abs(got - want) <= bound, (order, k)
+
+
+@pytest.mark.parametrize("order", range(21))
+def test_rearranged_exact_matches_zeta_oracle(zeta_oracle, order):
+    # the reference column of every order against the same sums built on
+    # mpmath's zeta derivatives at 80 digits; 40 digits missed at order 20
+    with mp.workdps(80):
+        c = taylor._coefficients_mp(zeta_oracle[: order + 1], mp)
+        want = taylor._rearranged(c, order, -mp.mpf(1) / 2, mp.fsum, mp.factorial)
+    got = taylor.rearranged_at_one_exact(order)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(float(w), rel=1e-13, abs=0.0)
+
+
+def test_exact_route_calls_no_zeta(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mp.zeta called")
+
+    monkeypatch.setattr(mp, "zeta", refuse)
+    assert taylor.compute_coefficients_exact(20)[:14] == pytest.approx(C_EXACT, rel=1e-11)
 
 
 def test_rearranged_validation(exact13):
