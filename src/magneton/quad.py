@@ -47,6 +47,7 @@ from . import specfun
 from .errors import ConvergenceError, DomainError
 
 _MAX_NODES = 2**16
+_ZERO_FLOOR = 1e-300  # a |zeta| below this is a zero hit
 # pi/2 sinh(3.5) = 26, so a node past it would lie within 3e-23 panel
 # widths of its end: what the outer nodes leave out is far below the
 # rounding term, even beside a log singularity
@@ -61,8 +62,9 @@ _LINE_CHUNK = 64
 _TERMS = 4096
 # (line, abscissa) pairs per pass of the line kernel
 _PAIRS = 1024
-# Lines integrated together; the per-line state is (lines, panels)
-_LINE_BATCH = 128
+# Bytes of line state per batch of lines integrated together: 16 a term of
+# the kernel's n^-rho row, 8 a panel for each of eight arrays of _integrate
+_BATCH_BYTES = 2**18
 
 # numpy is imported inside the functions that build arrays, so that the
 # scalar commands (figure, constants) never load it
@@ -209,26 +211,6 @@ def _integrate(
     return done
 
 
-def integrate_adaptive(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    config: QuadratureConfig | None = None,
-) -> QuadResult:
-    """Tanh-sinh integral of f over the one panel [a, b], refined level by
-    level; raises ConvergenceError if the depth budget runs out first."""
-    import numpy as np
-
-    cfg = config or QuadratureConfig()
-    if not (math.isfinite(a) and math.isfinite(b) and a < b):
-        raise DomainError(f"bad interval [{a!r}, {b!r}]")
-
-    def fv(t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda lines: np.array([[f(v) for v in t.tolist()]], dtype=np.float64)
-
-    return _integrate(fv, [a, b], cfg)[0]
-
-
 @functools.cache
 def _logn_array() -> np.ndarray:
     """`specfun._LOGN` as a read-only array, built once per process."""
@@ -260,8 +242,8 @@ def _zeta_lines(rhos: list[float], t_top: float):
 
     The Euler-Maclaurin sum of `specfun._reg_em` (same truncation, same
     `_LOGN`, same `_B_OVER_FACT` corrections) in numpy complex arithmetic.
-    It agrees with `specfun.log_abs_zeta` to rounding, not bit for bit, and
-    maps |zeta| < specfun._ZERO_FLOOR to -inf.  A base-sum term n^-s is
+    It agrees with `specfun.zeta` to rounding, not bit for bit, and maps
+    |zeta| < _ZERO_FLOOR to -inf, a zero hit.  A base-sum term n^-s is
     n^-rho, from libm's exp once per line and n, times n^-it, built by
     `kern(t)` once per abscissa and n and shared by every line.  glibc's
     cexp forms exp(x) cos y and exp(x) sin y, so the product has the bits
@@ -309,42 +291,13 @@ def _zeta_lines(rhos: list[float], t_top: float):
             with np.errstate(over="ignore"):
                 az = np.abs(reg / (s - 1.0))
             out = np.full(s.shape, -math.inf)
-            hit = az >= specfun._ZERO_FLOOR
+            hit = az >= _ZERO_FLOOR
             out[hit] = np.log(az[hit])
             return out
 
         return at
 
     return kern
-
-
-def log_abs_zeta_line(rho: float, t) -> np.ndarray:
-    """ln|zeta(rho + it)| at every t of a 1-D array: the one-line case of
-    the line kernel.  Errors and the zero signal are the scalar ones:
-    DomainError at the pole s = 1 and outside the window, and -inf where
-    |zeta| < specfun._ZERO_FLOOR."""
-    import numpy as np
-
-    rho = float(rho)
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 1:
-        raise DomainError(f"t must be a 1-D array, got shape {t.shape}")
-    if not (math.isfinite(rho) and np.isfinite(t).all()):
-        raise DomainError(f"non-finite argument on the line rho = {rho!r}")
-    if not t.size:
-        return np.empty(0)
-    t_top = float(np.abs(t).max())
-    specfun._in_window(complex(rho, t_top))
-    if rho == 1.0 and (t == 0.0).any():
-        raise DomainError("zeta has its pole at s = 1")
-    # in order of N, so that rows of one N run together
-    order = np.argsort(_n_trunc(t), kind="stable")
-    kern, line = _zeta_lines([rho], t_top), np.zeros(1, dtype=np.intp)
-    out = np.empty(t.size)
-    for c in range(0, t.size, _LINE_CHUNK):
-        rows = order[c : c + _LINE_CHUNK]
-        out[rows] = kern(t[rows])(line)[0]
-    return out
 
 
 def _hardy_z_positive(t: float) -> bool:
@@ -383,8 +336,11 @@ def phi_numeric_lines(
     """`phi_numeric` of every rho of `rhos`, integrated together: each level
     builds the n^-it table of a node once for all the lines that need it,
     and every result equals the one its line gets alone.  Lines run in
-    batches of _LINE_BATCH.  What is raised is what the first failing line
-    raises alone; the lines after it are not integrated."""
+    batches of _BATCH_BYTES of line state (144 at T = 50, 28 at T = 200).
+    What is raised is what the first failing line raises alone; the lines
+    after it are not integrated."""
+    import numpy as np
+
     cfg = config or QuadratureConfig()
     rhos = [float(rho) for rho in rhos]
     refused = None
@@ -397,9 +353,10 @@ def phi_numeric_lines(
             rhos, refused = rhos[:i], exc
             break
     edges = [0.0, *_zero_ordinates(cfg.t_max), cfg.t_max]
+    size = max(1, _BATCH_BYTES // (16 * int(_n_trunc(np.array(cfg.t_max))) + 64 * len(edges)))
     out: list[QuadResult] = []
-    for b0 in range(0, len(rhos), _LINE_BATCH):
-        batch = rhos[b0 : b0 + _LINE_BATCH]
+    for b0 in range(0, len(rhos), size):
+        batch = rhos[b0 : b0 + size]
         kern = _zeta_lines(batch, cfg.t_max)
 
         def integrand(t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -418,12 +375,3 @@ def phi_numeric(rho: float, config: QuadratureConfig | None = None) -> QuadResul
     split at the zero ordinates below T."""
     return phi_numeric_lines([rho], config)[0]
 
-
-def lorentz_log_integral(alpha: float, beta: float, mu: float) -> float:
-    """Closed form of the integral over [0, inf) of ln(beta^2 + mu t^2)/(alpha + t^2):
-    (pi/sqrt(alpha)) * ln(sqrt(mu*alpha) + beta).  Quadrature self-test oracle."""
-    if not (alpha > 0.0) or beta < 0.0 or not (mu > 0.0):
-        raise DomainError(
-            f"need alpha > 0, beta >= 0, mu > 0, got {(alpha, beta, mu)!r}"
-        )
-    return math.pi / math.sqrt(alpha) * math.log(math.sqrt(mu * alpha) + beta)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -243,9 +244,10 @@ def _ln_abs_chi(rho: float, t: float) -> float:
 
 def _defect_by_integration(rho: float) -> float:
     cfg = quad.QuadratureConfig(abs_tol=1e-10)
-    res = quad.integrate_adaptive(
-        lambda t: _ln_abs_chi(rho, t) / (0.25 + t * t), 0.0, 50.0, cfg
+    f = lambda t: lambda lines: np.array(
+        [[_ln_abs_chi(rho, x) / (0.25 + x * x) for x in t.tolist()]]
     )
+    (res,) = quad._integrate(f, [0.0, 50.0], cfg)
     tail = (0.5 - rho) * (math.log(50.0 / (2.0 * math.pi)) + 1.0) / 50.0
     return res.value + tail
 
