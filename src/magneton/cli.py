@@ -16,10 +16,10 @@ CrossCheckError.
 from __future__ import annotations
 
 import argparse
-import datetime
 import math
 import os
 import sys
+import time
 
 from . import __version__, diagnostics, magneton, specfun
 from .errors import ConvergenceError, CrossCheckError, DomainError, MagnetonError
@@ -68,7 +68,7 @@ def _fmt(x: float) -> str:
 def _emit(args, params: dict, body: list[str]):
     """Write the five-line manifest and then `body` to --out or stdout; an
     --out that cannot be written is a usage error."""
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     rendered = ", ".join(f"{k}={params[k]}" for k in sorted(params)) or "defaults"
     manifest = [
         f"# command: {args.command}",
@@ -224,7 +224,7 @@ def cmd_figure(args) -> int:
             # coordinate x = rho + 1/2, continued across x = 1 by its exact
             # mirror symmetry; under the half-line hypothesis it agrees
             # with the potential route on (1/2, 3/2)
-            rows = [(x, math.log(abs(specfun.xi(x)))) for x in _coarse_grid(1.0, hi, step)]
+            rows = [(x, math.log(specfun.xi(x))) for x in _coarse_grid(1.0, hi, step)]
         # one row per printed abscissa: x = 1 is its own mirror, and a grid
         # point an ulp below 1 prints as "1" just as its mirror does
         rows += [(2.0 - x, v) for x, v in rows if _fmt(2.0 - x) != _fmt(x)]

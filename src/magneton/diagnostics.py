@@ -57,9 +57,9 @@ def find_root(f, a: float, b: float) -> float:
 def _well_log_equation(x: float) -> float:
     # log form of zeta(x)^2 * Gamma(x/2)/Gamma((x-1)/2) * pi^(1-x) = 1
     return (
-        2.0 * math.log(specfun.zeta(x).real)
-        + specfun.log_gamma(0.5 * x).real
-        - specfun.log_gamma(0.5 * (x - 1.0)).real
+        2.0 * math.log(specfun.zeta(x))
+        + specfun.log_gamma(0.5 * x)
+        - specfun.log_gamma(0.5 * (x - 1.0))
         + (1.0 - x) * _LN_PI
     )
 

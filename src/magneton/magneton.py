@@ -51,24 +51,6 @@ def _gate_strip(mode: RhMode, rho: float, what: str):
         )
 
 
-# real-axis values of the complex routines; imaginary parts are exactly 0
-def _re(z) -> float:
-    return float(z.real)
-
-
-def _zeta(x):
-    return _re(specfun.zeta(x))
-
-
-def _reg(x):
-    # (s-1)*zeta(s), entire, equal to 1 at s = 1
-    return _re(specfun.zeta_reg(x))
-
-
-def _lgamma(x):
-    return _re(specfun.log_gamma(x))
-
-
 def phi_closed(rho, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
     """Piecewise closed form of the potential.
 
@@ -79,13 +61,13 @@ def phi_closed(rho, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
     """
     rho = _check_finite(rho)
     if rho >= 1.0:
-        return PI * math.log(_zeta(rho + 0.5))
+        return PI * math.log(specfun.zeta(rho + 0.5))
     if rho <= 0.0:
         return PI * (
             (rho - 0.5) * _LN_PI
-            + math.log(_zeta(1.5 - rho))
-            + _lgamma(0.75 - 0.5 * rho)
-            - _lgamma(0.25 - 0.5 * rho)
+            + math.log(specfun.zeta(1.5 - rho))
+            + specfun.log_gamma(0.75 - 0.5 * rho)
+            - specfun.log_gamma(0.25 - 0.5 * rho)
         )
     _gate_strip(mode, rho, "phi_closed")
     if rho == 0.5:
@@ -93,14 +75,14 @@ def phi_closed(rho, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
     if rho > 0.5:
         # pi*ln zeta(rho+1/2) with the pole of zeta removed by hand:
         # ln((s-1)zeta(s)) - ln(s-1), s = rho+1/2
-        return PI * (math.log(_reg(rho + 0.5)) - math.log(1.5 - rho))
+        return PI * (math.log(specfun.zeta_reg(rho + 0.5)) - math.log(1.5 - rho))
     s = 1.5 - rho  # reflected argument, in (1, 3/2)
     return PI * (
-        math.log(_reg(s))
+        math.log(specfun.zeta_reg(s))
         - math.log(0.5 + rho)
         + (rho - 0.5) * _LN_PI
-        + _lgamma(0.75 - 0.5 * rho)
-        - _lgamma(0.25 + 0.5 * rho)
+        + specfun.log_gamma(0.75 - 0.5 * rho)
+        - specfun.log_gamma(0.25 + 0.5 * rho)
     )
 
 
@@ -111,8 +93,8 @@ def symmetry_defect(rho) -> float:
     rho = _check_finite(rho)
     return PI * (
         _LN_PI * (rho - 0.5)
-        + _lgamma(0.25 + 0.5 * abs(rho - 1.0))
-        - _lgamma(0.25 + 0.5 * abs(rho))
+        + specfun.log_gamma(0.25 + 0.5 * abs(rho - 1.0))
+        - specfun.log_gamma(0.25 + 0.5 * abs(rho))
     )
 
 
@@ -126,11 +108,11 @@ def field_E(rho, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
             "or ('-') instead"
         )
     if rho > 1.0:
-        return PI * _re(specfun.zeta_logderiv(rho + 0.5))
+        return PI * specfun.zeta_logderiv(rho + 0.5)
     if rho < 0.0:
         return PI * (
             _LN_PI
-            - _re(specfun.zeta_logderiv(1.5 - rho))
+            - specfun.zeta_logderiv(1.5 - rho)
             - 0.5 * specfun.digamma(0.75 - 0.5 * rho)
             + 0.5 * specfun.digamma(0.25 - 0.5 * rho)
         )
@@ -138,9 +120,9 @@ def field_E(rho, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
     if rho > 0.5:
         # = pi*[zeta'/zeta(rho+1/2) + 1/(rho-1/2) + 1/(3/2-rho)] but written
         # through the regularized log-derivative, finite up to the edges
-        return PI * (_re(specfun.reg_logderiv(rho + 0.5)) + 1.0 / (1.5 - rho))
+        return PI * (specfun.reg_logderiv(rho + 0.5) + 1.0 / (1.5 - rho))
     return PI * (
-        -_re(specfun.reg_logderiv(1.5 - rho))
+        -specfun.reg_logderiv(1.5 - rho)
         - 1.0 / (0.5 + rho)
         + _LN_PI
         - 0.5 * specfun.digamma(0.75 - 0.5 * rho)
@@ -164,7 +146,7 @@ def field_E_onesided(point, side: str, mode: RhMode = RhMode.CONDITIONAL_RH) -> 
         raise DomainError(
             f"the {side} limit at rho = {point:g} approaches through the strip"
         )
-    zl32 = _re(specfun.zeta_logderiv(1.5))
+    zl32 = specfun.zeta_logderiv(1.5)
     if point == 1.0:
         if side == "+":
             return PI * zl32
@@ -177,7 +159,7 @@ def field_E_onesided(point, side: str, mode: RhMode = RhMode.CONDITIONAL_RH) -> 
     psi_plus = 0.5 * specfun.digamma(0.75)
     if side == "+":
         return PI * (
-            -_re(specfun.reg_logderiv(1.5))
+            -specfun.reg_logderiv(1.5)
             - 2.0
             + _LN_PI
             - psi_plus

@@ -12,14 +12,17 @@ The entire function (s-1)*zeta(s) is exposed separately because every
 closed form downstream needs it finite and positive through s = 1.
 Only `sieve_primes` imports numpy.  The scalar path keeps the bits of the
 numpy evaluation it replaced: `_pairwise_sum` adds in numpy's order and
-`_cdiv` divides as numpy does.
+`_cdiv` divides as numpy does.  A real argument (log_gamma: x > 0, xi:
+x > -2) gets a float from float kernels that keep the real parts' bits:
+numpy's pairwise order for the 29-term sums of `_reg_real`, a multiply by
+the reciprocal where `_cdiv` divides, and cmath.log's log1p branch.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from numbers import Integral
+import sys
 
 from .errors import DomainError
 
@@ -51,6 +54,7 @@ _STIRLING = tuple(b / ((2 * (k + 1)) * (2 * (k + 1) - 1)) for k, b in enumerate(
 
 _MAX_N = max(30, math.ceil(1.3 * IM_WINDOW)) + 1
 _LOGN = tuple(math.log(n) for n in range(1, _MAX_N + 1))
+_LN30 = _LOGN[29]  # ln N for every real s
 
 
 def _as_complex(s) -> complex:
@@ -100,10 +104,12 @@ def _pairwise_sum(a: list):
     return out
 
 
-def _cdiv(a: complex, b: complex) -> complex:
+def _cdiv(a, b):
     """a / b for a finite b, rounded as numpy divides complex128: Smith's
     method with one reciprocal.  Python's `/` divides twice and can differ
-    in the last bit."""
+    in the last bit.  For real a and b that is a * (1.0 / b)."""
+    if not isinstance(b, complex):
+        return a * (1.0 / b) if b else _cdiv(a, complex(b)).real
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     if abs(br) >= abs(bi):
         if br == 0.0:  # b == 0: numpy's inf or nan, without its warning
@@ -116,19 +122,69 @@ def _cdiv(a: complex, b: complex) -> complex:
     return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
 
 
+def _sum29(a: list) -> float:
+    """`_pairwise_sum` of 29 terms: four interleaved chains of seven, then
+    the last term."""
+    return ((a[0] + a[4] + a[8] + a[12] + a[16] + a[20] + a[24])
+            + (a[1] + a[5] + a[9] + a[13] + a[17] + a[21] + a[25])) + (
+        (a[2] + a[6] + a[10] + a[14] + a[18] + a[22] + a[26])
+        + (a[3] + a[7] + a[11] + a[15] + a[19] + a[23] + a[27])) + a[28]
+
+
+def _reg_real(x: float, want_deriv: bool):
+    """`_reg_em` at real s = x, written out in float arithmetic.  On the
+    real axis N = 30, and every rounding is that of the real part of the
+    complex steps; a test compares the bits."""
+    mx = -x
+    pw = [math.exp(mx * v) for v in _LOGN[:29]]  # n^-x, n = 1 .. 29
+    n_pow_ms = math.exp(mx * _LN30)  # 30^-x
+    # corrections B_2k/(2k)! * (x)_(2k-1) * 30^(1-2k-x), k = 1..7
+    b1, b2, b3, b4, b5, b6, b7 = _B_OVER_FACT
+    f1, f2, f3, f4, f5, f6 = x + 1.0, x + 2.0, x + 3.0, x + 4.0, x + 5.0, x + 6.0
+    f7, f8, f9, f10, f11, f12 = x + 7.0, x + 8.0, x + 9.0, x + 10.0, x + 11.0, x + 12.0
+    p1, a1 = x, n_pow_ms / 30.0
+    p2, a2 = p1 * f1 * f2, a1 / 900.0
+    p3, a3 = p2 * f3 * f4, a2 / 900.0
+    p4, a4 = p3 * f5 * f6, a3 / 900.0
+    p5, a5 = p4 * f7 * f8, a4 / 900.0
+    p6, a6 = p5 * f9 * f10, a5 / 900.0
+    p7, a7 = p6 * f11 * f12, a6 / 900.0
+    corr = (b1 * p1 * a1 + b2 * p2 * a2 + b3 * p3 * a3 + b4 * p4 * a4
+            + b5 * p5 * a5 + b6 * p6 * a6 + b7 * p7 * a7)
+    inner = _sum29(pw) + n_pow_ms / 2.0 + corr
+    n_pow_1ms = math.exp((1.0 - x) * _LN30)
+    reg = (x - 1.0) * inner + n_pow_1ms
+    if not want_deriv:
+        return reg, None
+
+    # d/dx (x)_(2k-1), grown by the product rule one factor at a time
+    d2 = (f1 + p1) * f2 + p1 * f1
+    d3 = (d2 * f3 + p2) * f4 + p2 * f3
+    d4 = (d3 * f5 + p3) * f6 + p3 * f5
+    d5 = (d4 * f7 + p4) * f8 + p4 * f7
+    d6 = (d5 * f9 + p5) * f10 + p5 * f9
+    d7 = (d6 * f11 + p6) * f12 + p6 * f11
+    ln = _LN30
+    dcorr = (b1 * a1 * (1.0 - p1 * ln) + b2 * a2 * (d2 - p2 * ln) + b3 * a3 * (d3 - p3 * ln)
+             + b4 * a4 * (d4 - p4 * ln) + b5 * a5 * (d5 - p5 * ln) + b6 * a6 * (d6 - p6 * ln)
+             + b7 * a7 * (d7 - p7 * ln))
+    dinner = -_sum29([v * p for v, p in zip(_LOGN, pw)]) - ln * n_pow_ms / 2.0 + dcorr
+    return reg, inner + (x - 1.0) * dinner - ln * n_pow_1ms
+
+
 def _reg_em(s: complex, want_deriv: bool):
     """Euler-Maclaurin evaluation of reg(s) = (s-1)*zeta(s) and optionally
-    its s-derivative.  reg is entire and equals 1 at s = 1 exactly.  On the
-    real axis the same steps run in float arithmetic, which rounds the real
-    parts as the complex steps do in about half the time."""
-    s, exp = (s.real, math.exp) if s.imag == 0.0 else (s, cmath.exp)
+    its s-derivative, in complex arithmetic for Im s != 0.  reg is entire
+    and equals 1 at s = 1 exactly.  The sums add in numpy's pairwise order.
+    On the real axis `_reg_real` serves instead and rounds as the real
+    parts of these steps do: the same sums, N = 30 and `_cdiv`'s 1.0 / b."""
     n_trunc = max(30, math.ceil(1.3 * abs(s.imag)))
     logn = _LOGN[: n_trunc - 1]          # n = 1 .. N-1
-    pw = [exp(-s * v) for v in logn]     # n^-s
+    pw = [cmath.exp(-s * v) for v in logn]  # n^-s
     base = _pairwise_sum(pw)
 
     ln_big = _LOGN[n_trunc - 1]
-    n_pow_ms = exp(-s * ln_big)          # N^-s
+    n_pow_ms = cmath.exp(-s * ln_big)    # N^-s
 
     # corrections: sum_k B_2k/(2k)! * (s)_(2k-1) * N^(1-2k-s), k = 1..7
     corr = dcorr = 0.0
@@ -147,48 +203,58 @@ def _reg_em(s: complex, want_deriv: bool):
             dcorr += coef * npow * (dpoch - poch * ln_big)
 
     inner = base + n_pow_ms / 2.0 + corr
-    n_pow_1ms = exp((1.0 - s) * ln_big)
+    n_pow_1ms = cmath.exp((1.0 - s) * ln_big)
     reg = (s - 1.0) * inner + n_pow_1ms
     if not want_deriv:
-        return complex(reg), None
+        return reg, None
 
     dbase = -_pairwise_sum([v * p for v, p in zip(logn, pw)])
     dinner = dbase - ln_big * n_pow_ms / 2.0 + dcorr
     dreg = inner + (s - 1.0) * dinner - ln_big * n_pow_1ms
-    return complex(reg), complex(dreg)
+    return reg, dreg
 
 
-def zeta_reg(s) -> complex:
-    """(s-1)*zeta(s), entire, equal to 1 at s = 1."""
-    return _reg_em(_in_window(s), False)[0]
-
-
-def zeta(s) -> complex:
+def _kernel(s, want_deriv: bool):
+    """(s, reg, dreg) for s in the window: floats from `_reg_real` for a
+    real s; complex values for a complex s, from `_reg_real` on the axis."""
     z = _in_window(s)
+    if z.imag != 0.0:
+        return (z, *_reg_em(z, want_deriv))
+    reg, dreg = _reg_real(z.real, want_deriv)
+    if not isinstance(s, complex):
+        return z.real, reg, dreg
+    return z, complex(reg), dreg if dreg is None else complex(dreg)
+
+
+def zeta_reg(s):
+    """(s-1)*zeta(s), entire, equal to 1 at s = 1."""
+    return _kernel(s, False)[1]
+
+
+def zeta(s):
+    z, reg, _ = _kernel(s, False)
     if z == 1.0:
         raise DomainError("zeta has its pole at s = 1")
-    reg, _ = _reg_em(z, False)
     return _cdiv(reg, z - 1.0)
 
 
-def zeta_logderiv(s) -> complex:
+def zeta_logderiv(s):
     """zeta'(s)/zeta(s), via termwise differentiation of the summation
     (no finite differences)."""
-    z = _in_window(s)
+    z, reg, dreg = _kernel(s, True)
     if z == 1.0:
         raise DomainError("zeta'/zeta has a pole at s = 1")
-    reg, dreg = _reg_em(z, True)
     return _cdiv(dreg, reg) - 1.0 / (z - 1.0)
 
 
-def reg_logderiv(s) -> complex:
+def reg_logderiv(s):
     """d/ds ln((s-1)*zeta(s)); finite through s = 1, value gamma there."""
-    reg, dreg = _reg_em(_in_window(s), True)
+    _, reg, dreg = _kernel(s, True)
     return _cdiv(dreg, reg)
 
 
-def _stirling_log_gamma(z: complex) -> complex:
-    out = (z - 0.5) * cmath.log(z) - z + 0.5 * math.log(2.0 * math.pi)
+def _stirling_log_gamma(z, log=cmath.log):
+    out = (z - 0.5) * log(z) - z + 0.5 * math.log(2.0 * math.pi)
     zpow = z
     z2 = z * z
     for coef in _STIRLING:
@@ -197,13 +263,24 @@ def _stirling_log_gamma(z: complex) -> complex:
     return out
 
 
-def log_gamma(s) -> complex:
+def log_gamma(s):
     """Log-gamma by Stirling series after an argument shift to Re >= 9.
-    Real and finite on the positive real axis; continuous along vertical
-    lines off the real axis; poles at the nonpositive integers raise, and
-    so does Re s below -1e4."""
+    Real and finite on the positive real axis, where a real s gets a float;
+    continuous along vertical lines off the real axis; poles at the
+    nonpositive integers raise, and so does Re s below -1e4."""
     z = _as_complex(s)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
+    if z.imag == 0.0 and z.real > 0.0:
+        w, shift = z.real, 0.0
+        while w < 9.0:
+            # cmath.log(w).real as CPython computes it: log1p near |w| = 1,
+            # and subnormals scaled up by 2^53 first
+            shift += (math.log1p((w - 1.0) * (w + 1.0) + 0.0) / 2.0 if 0.71 <= w <= 1.73
+                      else math.log(w) if w >= sys.float_info.min
+                      else math.log(math.ldexp(w, 53)) - 53 * math.log(2.0))
+            w += 1.0
+        out = _stirling_log_gamma(w, math.log) - shift
+        return complex(out, 0.0) if isinstance(s, complex) else out
+    if z.imag == 0.0 and z.real == math.floor(z.real):
         raise DomainError(f"log_gamma pole at {z.real:g}")
     if z.real < _LOG_GAMMA_RE_MIN:
         raise DomainError(f"log_gamma needs Re s >= {_LOG_GAMMA_RE_MIN:g}, got {z.real:g}")
@@ -212,10 +289,7 @@ def log_gamma(s) -> complex:
     while w.real < 9.0:
         shift += cmath.log(w)
         w += 1.0
-    out = _stirling_log_gamma(w) - shift
-    if z.imag == 0.0 and z.real > 0.0:
-        return complex(out.real, 0.0)
-    return out
+    return _stirling_log_gamma(w) - shift
 
 
 def digamma(x: float) -> float:
@@ -238,9 +312,11 @@ def digamma(x: float) -> float:
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta for real s > 1, a > 0, same Euler-Maclaurin scheme as zeta."""
+    """Hurwitz zeta for finite s > 1 and a > 0, same Euler-Maclaurin scheme as zeta."""
     s = float(s)
     a = float(a)
+    if not (math.isfinite(s) and math.isfinite(a)):
+        raise DomainError(f"hurwitz_zeta needs finite arguments, got s = {s!r}, a = {a!r}")
     if s <= 1.0:
         raise DomainError("hurwitz_zeta implemented for s > 1 only")
     if a <= 0.0:
@@ -260,11 +336,11 @@ def hurwitz_zeta(s: float, a: float) -> float:
 
 
 def polygamma(m: int, x: float) -> float:
-    """psi^(m)(x) for x > 0; m >= 1 goes through the Hurwitz zeta identity
+    """psi^(m)(x) for finite x > 0; m >= 1 goes through the Hurwitz zeta identity
     psi^(m)(x) = (-1)^(m+1) m! zeta_H(m+1, x)."""
-    if not isinstance(m, Integral) or m < 0:
+    if not hasattr(m, "__index__") or m < 0:  # int, bool or numpy integer
         raise DomainError(f"polygamma order must be an integer >= 0, got {m!r}")
-    if x <= 0.0:
+    if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"polygamma needs x > 0, got {x!r}")
     if m == 0:
         return digamma(x)
@@ -272,20 +348,20 @@ def polygamma(m: int, x: float) -> float:
     return sign * math.factorial(m) * hurwitz_zeta(m + 1.0, float(x))
 
 
-def xi(s) -> complex:
+def xi(s):
     """Completed zeta pi^(-s/2) * s*(s-1) * Gamma(s/2) * zeta(s), in the
     normalization with xi(0) = xi(1) = 1.  Computed through the entire
     product 2 * pi^(-s/2) * Gamma(s/2 + 1) * (s-1)*zeta(s), so the removable
     points s = 0, 1 need no special casing.  The trivial zero s = -2 hits
     the Gamma pole of this factorization and raises DomainError; the others
     lie outside the window.  Values beyond the double range (real s from
-    about 433 on) raise OverflowError."""
+    about 433 on) raise OverflowError.  A real s > -2 gets a float."""
     z = _in_window(s)
-    lg = log_gamma(z / 2.0 + 1.0)
-    out = 2.0 * cmath.exp(-z / 2.0 * LN_PI + lg) * zeta_reg(z)
+    w = z.real if z.imag == 0.0 and z.real > -2.0 else z
+    out = 2.0 * cmath.exp(-w / 2.0 * LN_PI + log_gamma(w / 2.0 + 1.0)) * zeta_reg(w)
     if not cmath.isfinite(out):
         raise OverflowError(f"|xi({z:g})| exceeds the double range")
-    return out
+    return out.real if w is not z and not isinstance(s, complex) else out
 
 
 def sieve_primes(limit: int):
@@ -293,7 +369,7 @@ def sieve_primes(limit: int):
     Eratosthenes sieve over the odd numbers.  The flag array costs about
     limit/2 bytes; a request whose limit + 1 exceeds _SIEVE_BUDGET raises
     instead of thrashing."""
-    if not isinstance(limit, Integral) or limit < 2:
+    if not hasattr(limit, "__index__") or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if limit + 1 > _SIEVE_BUDGET:
         raise DomainError(

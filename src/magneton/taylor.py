@@ -71,7 +71,7 @@ def _analytic_part(n: int) -> float:
             (
                 math.log(1.5),
                 math.log(0.5),
-                specfun.log_gamma(0.75).real,
+                specfun.log_gamma(0.75),
                 -0.75 * _LN_PI,
             )
         )

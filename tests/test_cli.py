@@ -1,4 +1,6 @@
+import collections
 import contextlib
+import functools
 import io
 import math
 import os
@@ -9,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from magneton import cli, magneton, quad, specfun, taylor
+from magneton import cli, diagnostics, magneton, quad, specfun, taylor
 from magneton.errors import ConvergenceError, CrossCheckError, DomainError, MagnetonError
 
 GAMMA = 0.5772156649015328606065
@@ -403,6 +405,40 @@ def test_constants(capsys):
     tags = {r[0]: r[4] for r in body}
     assert tags["lambda_one"] == "rh-conditional"
     assert tags["x1"] == "unconditional"
+
+
+# the real-kernel calls each closed command makes on its default grid
+_KERNEL_CALLS = {"figure phi": 500, "figure field": 624, "figure well": 200, "figure xi": 101, "constants": 36}
+
+
+@pytest.mark.parametrize("command", sorted(_KERNEL_CALLS))
+def test_closed_commands_use_only_the_real_kernel(monkeypatch, capsys, command):
+    # one real-kernel call per closed-form evaluation (phi_closed returns 0
+    # at rho = 1/2 without one), and none on the complex path
+    calls = collections.Counter()
+
+    def count(module, name, key=None):
+        fn = getattr(module, name)
+
+        @functools.wraps(fn)
+        def counted(*args, **kwargs):
+            calls[key(*args) if key else name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(specfun, "_reg_real")
+    count(specfun, "_reg_em")
+    count(magneton, "phi_closed", key=lambda rho, *_: "phi_half" if rho == 0.5 else "phi_closed")
+    for module, name in ((magneton, "field_E"), (magneton, "field_E_onesided"),
+                         (specfun, "xi"), (diagnostics, "_well_log_equation")):
+        count(module, name)
+    code, _, _ = run(command.split(), capsys)
+    assert code == 0
+    assert calls["_reg_em"] == 0
+    evaluations = sum(calls[k] for k in ("phi_closed", "field_E", "field_E_onesided",
+                                         "xi", "_well_log_equation"))
+    assert calls["_reg_real"] == evaluations == _KERNEL_CALLS[command], dict(calls)
 
 
 def test_constants_refuses_outside_mode(capsys):

@@ -3,6 +3,7 @@ arbitrary-precision references and basic structural identities."""
 
 import cmath
 import math
+import re
 import struct
 import threading
 
@@ -143,6 +144,24 @@ def test_polygamma_refs():
     assert specfun.polygamma(0, 0.25) == pytest.approx(DIGAMMA_QUARTER, abs=1e-12)
     assert specfun.polygamma(1, 1.0) == pytest.approx(math.pi**2 / 6.0, abs=1e-12)
     assert specfun.polygamma(2, 1.5) == pytest.approx(POLYGAMMA_2_15, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: specfun.polygamma(1, math.nan),
+        lambda: specfun.polygamma(1, math.inf),
+        lambda: specfun.polygamma(0, math.nan),
+        lambda: specfun.polygamma(2, -math.inf),
+        lambda: specfun.hurwitz_zeta(math.nan, 1.0),
+        lambda: specfun.hurwitz_zeta(math.inf, 1.0),
+        lambda: specfun.hurwitz_zeta(2.0, math.nan),
+        lambda: specfun.hurwitz_zeta(2.0, math.inf),
+    ],
+)
+def test_polygamma_hurwitz_refuse_non_finite(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_polygamma_vs_finite_difference():
@@ -370,3 +389,79 @@ def test_cdiv_is_numpy_complex_division(rng):
             a, b = complex(parts[i], parts[j]), complex(finite[k], finite[m])
             want = np.complex128(a) / np.complex128(b)
             assert _bits(specfun._cdiv(a, b)) == _bits(want), (a, b)
+
+
+def _complex_log_gamma(x: float) -> complex:
+    """log_gamma at complex(x, 0) in complex arithmetic, the oracle the
+    float path must match bit for bit in its real part: unit shifts to
+    Re >= 9 with cmath.log, then the Stirling series."""
+    w, shift = complex(x, 0.0), 0j
+    while w.real < 9.0:
+        shift += cmath.log(w)
+        w += 1.0
+    out = (w - 0.5) * cmath.log(w) - w + 0.5 * math.log(2.0 * math.pi)
+    wpow, w2 = w, w * w
+    for coef in specfun._STIRLING:
+        out += coef / wpow
+        wpow *= w2
+    return out - shift
+
+
+def test_log_gamma_float_path_keeps_complex_bits(rng):
+    # cmath.log switches to log1p inside [0.71, 1.73] and rescales
+    # subnormals; the float path must switch at the same points
+    edges = [0.71, 1.73, 1.0, 2.2250738585072014e-308]
+    xs = [y for e in edges for y in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))]
+    xs += [k + 0.5 for k in range(10)]  # 9 - k unit shifts, k = 0..9
+    xs += [9.0, 5e-324, 1e-310, 1e-300, *rng.uniform(0.0, 60.0, 20_000)]
+    xs += [*rng.uniform(0.6, 1.8, 2_000), *(10.0 ** rng.uniform(-300.0, 27.0, 2_000))]
+    for x in xs:
+        x = float(x)
+        if x > 0.0:
+            got = specfun.log_gamma(x)
+            assert type(got) is float
+            assert _bits(got) == _bits(_complex_log_gamma(x).real), x
+
+
+def test_real_kernel_keeps_complex_kernel_bits(rng):
+    # the written-out float kernel against the complex loop on the axis
+    xs = [*rng.uniform(-3.0, 12.0, 20_000), *(10.0 ** rng.uniform(1.0, 20.0, 500))]
+    for x in [*xs, -3.0, -2.0, 0.0, 0.5, 1.0, 1e20]:
+        for deriv in (False, True):
+            got = specfun._reg_real(float(x), deriv)
+            want = specfun._reg_em(complex(x, 0.0), deriv)
+            assert [_bits(v) for v in got if v is not None] == [
+                _bits(v.real) for v in want if v is not None
+            ], (x, deriv)
+
+
+# where each public function takes its float path: the whole window for
+# the zeta family, x > -2 for xi and x > 0 for log_gamma
+_FLOAT_PATH = {
+    "zeta": -3.0, "zeta_reg": -3.0, "zeta_logderiv": -3.0, "reg_logderiv": -3.0,
+    "xi": math.nextafter(-2.0, 0.0), "log_gamma": 5e-324,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_FLOAT_PATH)), st.floats(-3.0, 60.0))
+@example("xi", 433.0)
+@example("zeta", 1.0)
+@example("zeta_logderiv", 0.5)
+@example("reg_logderiv", -2.000000000044)  # reg is exactly 0 here
+@example("log_gamma", 1.73)
+def test_real_argument_is_the_axis_value(name, x):
+    assume(x >= _FLOAT_PATH[name])
+    fn = getattr(specfun, name)
+    try:
+        want = fn(complex(x, 0.0))
+    except (DomainError, OverflowError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            fn(x)
+        return
+    got = fn(x)
+    assert type(got) is float and type(want) is complex
+    # zeta and reg_logderiv keep numpy's signed zero of a negative divisor,
+    # and its inf + nan*j where reg is exactly 0
+    assert want.imag == 0.0 or (math.isinf(want.real) and math.isnan(want.imag))
+    assert _bits(got)[0] == _bits(want)[0]
