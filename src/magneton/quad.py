@@ -16,16 +16,18 @@ panel end than the spacing of floats there is dropped, so no node lands on
 an end.
 
 `phi_numeric` splits [0, T] at the ordinates of the zeta zeros on the half
-line, found as sign changes of Hardy's Z(t).  The log dips of the
-rho = 1/2 line then sit at panel ends, where the rule handles them, and so
-does the pole of the rho = 1 line at t = 0.  The ordinates are hints, not
-an assumption: a panel holding a singularity the search missed does not
-converge.  The panels do not depend on rho, so `phi_numeric_lines`
-integrates the lines of a table in one level loop: each level's new nodes
-go through the line kernel panel by panel, which builds the factor n^-it of
-the zeta sum once per node for every line still open there.  Each line
-keeps its own panels, sums and decisions, so its result is the one
-`phi_numeric` gets for it alone, bit for bit.
+line, found as sign changes of Hardy's Z(t) on a grid, bisected in
+lockstep.  The log dips of the rho = 1/2 line then sit at panel ends, where
+the rule handles them, and so does the pole of the rho = 1 line at t = 0.
+The ordinates are hints, not an assumption: a panel holding a singularity
+the search missed does not converge.  The panels do not depend on rho, so
+`phi_numeric_lines` integrates the lines of a table in one level loop: each
+level's new nodes go panel by panel through the line kernel
+`specfun._reg_lines` (the package's one complex zeta sum, which Z uses
+too), and it builds the factor n^-it of the zeta sum once per node for
+every line still open there.  Each line keeps its own panels, sums and
+decisions, so its result is the one `phi_numeric` gets for it alone, bit
+for bit.
 
 A panel still open at level ``max_depth`` raises ConvergenceError naming
 the leftmost one, and a non-finite integrand value raises it naming its
@@ -58,8 +60,6 @@ _Z_STEP = 0.25
 # Abscissae per n^-it table of the line kernel: 64 rows of at most 260
 # terms, about 270 kB
 _LINE_CHUNK = 64
-# Complex values per n^-s block of the line kernel, 64 kB
-_TERMS = 4096
 # (line, abscissa) pairs per pass of the line kernel
 _PAIRS = 1024
 # Bytes of line state per batch of lines integrated together: 16 a term of
@@ -211,81 +211,21 @@ def _integrate(
     return done
 
 
-@functools.cache
-def _logn_array() -> np.ndarray:
-    """`specfun._LOGN` as a read-only array, built once per process."""
-    import numpy as np
-
-    logn = np.array(specfun._LOGN)
-    logn.flags.writeable = False
-    return logn
-
-
-def _n_trunc(t: np.ndarray) -> np.ndarray:
-    """The Euler-Maclaurin truncation N = max(30, ceil(1.3|t|)) of each t."""
-    import numpy as np
-
-    return np.maximum(30.0, np.ceil(1.3 * np.abs(t))).astype(np.intp)
-
-
-def _n_pow_it(t: np.ndarray, m: int) -> np.ndarray:
-    """n^-it = exp(-it ln n) for n = 1 .. m, one row per t."""
-    import numpy as np
-
-    return np.exp((-t[:, None] * _logn_array()[:m]) * 1j)
-
-
 def _zeta_lines(rhos: list[float], t_top: float):
     """ln|zeta| on the lines rho = rhos[i] at once, as `kern(t)(lines)`: the
     (lines, t) array of ln|zeta(rhos[i] + it)| for the indices i in `lines`
-    and a 1-D array of at most _LINE_CHUNK abscissae |t| <= t_top.
-
-    The Euler-Maclaurin sum of `specfun._reg_em` (same truncation, same
-    `_LOGN`, same `_B_OVER_FACT` corrections) in numpy complex arithmetic.
-    It agrees with `specfun.zeta` to rounding, not bit for bit, and maps
-    |zeta| < _ZERO_FLOOR to -inf, a zero hit.  A base-sum term n^-s is
-    n^-rho, from libm's exp once per line and n, times n^-it, built by
-    `kern(t)` once per abscissa and n and shared by every line.  glibc's
-    cexp forms exp(x) cos y and exp(x) sin y, so the product has the bits
-    of np.exp(-s ln n).  Each row sums its own N - 1 terms in numpy's
-    pairwise order."""
+    and a 1-D array of at most _LINE_CHUNK abscissae |t| <= t_top, from the
+    values of `specfun._reg_lines`.  A |zeta| below _ZERO_FLOOR maps to
+    -inf, a zero hit."""
     import numpy as np
 
-    logn = _logn_array()
-    rho = np.array(rhos)
-    # numpy's SIMD exp rounds some n^-rho differently from libm
-    m = int(_n_trunc(np.array(t_top))) - 1
-    n_pow_rho = np.array(
-        [[math.exp(-r * ln) for ln in specfun._LOGN[:m]] for r in rhos], dtype=complex
-    )
+    reg_lines = specfun._reg_lines(rhos, t_top)
 
     def kern(t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        n_trunc = _n_trunc(t)
-        ln_big = logn[n_trunc - 1]
-        cuts = [0, *(np.flatnonzero(np.diff(n_trunc)) + 1).tolist(), t.size]
-        # one n^-it table per run of equal N
-        runs = [(a, b, _n_pow_it(t[a:b], n_trunc[a] - 1)) for a, b in zip(cuts, cuts[1:])]
+        at = reg_lines(t)
 
-        def at(lines: np.ndarray) -> np.ndarray:
-            s = rho[lines, None] + 1j * t
-            base = np.empty_like(s)
-            for a, b, n_it in runs:
-                step = max(1, _TERMS // n_it.size)
-                for j in range(0, lines.size, step):
-                    n_pow_s = n_pow_rho[lines[j : j + step], None, : n_it.shape[1]] * n_it
-                    base[j : j + step, a:b] = n_pow_s.sum(axis=-1)
-                    del n_pow_s  # so that the next block is the only one held
-            # corrections: sum_k B_2k/(2k)! * (s)_(2k-1) * N^(1-2k-s), k = 1..7
-            n_pow_ms = np.exp(-s * ln_big)  # N^-s
-            corr = np.zeros_like(s)
-            poch = s  # (s)_(2k-1), grown two factors a round
-            npow = n_pow_ms / n_trunc  # N^(-s-1)
-            for k, coef in enumerate(specfun._B_OVER_FACT):
-                if k:
-                    poch = poch * (s + (2 * k - 1)) * (s + 2 * k)
-                    npow = npow / (n_trunc * n_trunc)
-                corr += coef * poch * npow
-            reg = (s - 1.0) * (base + n_pow_ms / 2.0 + corr) + np.exp((1.0 - s) * ln_big)
+        def log_abs(lines: np.ndarray) -> np.ndarray:
+            s, reg, _ = at(lines)
             # next to the pole (rho = 1, t ~ 1e-308) the quotient overflows
             # to inf, which the integration refuses as a non-finite value
             with np.errstate(over="ignore"):
@@ -295,16 +235,50 @@ def _zeta_lines(rhos: list[float], t_top: float):
             out[hit] = np.log(az[hit])
             return out
 
-        return at
+        return log_abs
 
     return kern
 
 
-def _hardy_z_positive(t: float) -> bool:
-    """Whether Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) is positive,
-    with the Riemann-Siegel theta(t) = Im ln Gamma(1/4 + it/2) - (t/2) ln pi."""
-    theta = specfun.log_gamma(complex(0.25, 0.5 * t)).imag - 0.5 * t * specfun.LN_PI
-    return (cmath.exp(1j * theta) * specfun.zeta(complex(0.5, t))).real > 0.0
+def _hardy_z(t_max: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) on arrays of abscissae
+    |t| <= t_max, with the Riemann-Siegel theta(t) = Im ln Gamma(1/4 + it/2)
+    - (t/2) ln pi from the scalar `log_gamma` and zeta from
+    `specfun._reg_lines`, _LINE_CHUNK abscissae at a time."""
+    import numpy as np
+
+    kern, half = specfun._reg_lines([0.5], t_max), np.zeros(1, dtype=np.intp)
+
+    def z(t: np.ndarray) -> np.ndarray:
+        theta = (specfun.log_gamma(complex(0.25, 0.5 * x)).imag - 0.5 * x * specfun.LN_PI
+                 for x in t.tolist())
+        rot = np.array([cmath.exp(1j * x) for x in theta])
+        zeta = np.empty(t.size, dtype=complex)
+        for c in range(0, t.size, _LINE_CHUNK):
+            s, reg, _ = kern(t[c : c + _LINE_CHUNK])(half)
+            zeta[c : c + _LINE_CHUNK] = reg[0] / (s[0] - 1.0)
+        # the real part of rot * zeta as Python's complex product forms it
+        return rot.real * zeta.real - rot.imag * zeta.imag
+
+    return z
+
+
+def _bisect(
+    lo: np.ndarray, hi: np.ndarray, positive: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """The left end of each bracket [lo, hi] of a sign change of `positive`,
+    bisected until its two ends are adjacent floats.  All brackets step in
+    lockstep, one call of `positive` per step, and each ends where it ends
+    alone."""
+    lo, hi, sign = lo.copy(), hi.copy(), positive(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = ((lo < mid) & (mid < hi)).nonzero()[0]
+        if not open_.size:
+            return lo
+        same = positive(mid[open_]) == sign[open_]
+        lo[open_[same]] = mid[open_[same]]
+        hi[open_[~same]] = mid[open_[~same]]
 
 
 @functools.cache
@@ -312,22 +286,15 @@ def _zero_ordinates(t_max: float) -> tuple[float, ...]:
     """Ordinates in (0, t_max) of the zeta zeros on the half line: each sign
     change of Z on a grid of step at most _Z_STEP, bisected until its two
     ends are adjacent floats."""
+    import numpy as np
+
     n = math.ceil(t_max / _Z_STEP)
-    grid = [t_max * k / n for k in range(n + 1)]
-    signs = [_hardy_z_positive(t) for t in grid]
-    out = []
-    for lo, hi, sign, sign_hi in zip(grid, grid[1:], signs, signs[1:]):
-        if sign == sign_hi:
-            continue
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            if _hardy_z_positive(mid) == sign:
-                lo = mid
-            else:
-                hi = mid
-            mid = 0.5 * (lo + hi)
-        out.append(lo)
-    return tuple(out)
+    grid = np.array([t_max * k / n for k in range(n + 1)])
+    z = _hardy_z(t_max)
+    positive = lambda t: z(t) > 0.0
+    signs = positive(grid)
+    at = np.flatnonzero(signs[1:] != signs[:-1])
+    return tuple(_bisect(grid[at], grid[at + 1], positive).tolist())
 
 
 def phi_numeric_lines(
@@ -353,7 +320,8 @@ def phi_numeric_lines(
             rhos, refused = rhos[:i], exc
             break
     edges = [0.0, *_zero_ordinates(cfg.t_max), cfg.t_max]
-    size = max(1, _BATCH_BYTES // (16 * int(_n_trunc(np.array(cfg.t_max))) + 64 * len(edges)))
+    n_trunc = int(specfun._n_trunc(np.array(cfg.t_max)))
+    size = max(1, _BATCH_BYTES // (16 * n_trunc + 64 * len(edges)))
     out: list[QuadResult] = []
     for b0 in range(0, len(rhos), size):
         batch = rhos[b0 : b0 + size]

@@ -6,16 +6,19 @@ sum whose truncation length grows with |Im s|.  The supported window is
 |Im s| <= 200, -3 <= Re s <= 1e20.  Against mpmath, |zeta| is good to about
 2e-12 of max(1, |zeta|) for Re s >= -1 (1.5e-12 at Re s = -1, 1.3e-13 on
 the half line) and 6e-9 at Re s = -3; further left the sum cancels
-catastrophically.  On the right ln|zeta| is exactly 0.0 long before the
-edge, and from Re s of about 5e23 on the sums overflow to NaN.
+catastrophically.  On the right zeta is exactly 1.0 long before the edge.
 The entire function (s-1)*zeta(s) is exposed separately because every
 closed form downstream needs it finite and positive through s = 1.
-Only `sieve_primes` imports numpy.  The scalar path keeps the bits of the
-numpy evaluation it replaced: `_pairwise_sum` adds in numpy's order and
-`_cdiv` divides as numpy does.  A real argument (log_gamma: x > 0, xi:
-x > -2) gets a float from float kernels that keep the real parts' bits:
-numpy's pairwise order for the 29-term sums of `_reg_real`, a multiply by
-the reciprocal where `_cdiv` divides, and cmath.log's log1p branch.
+
+A real s, float or complex with a zero imaginary part, takes the float
+kernel `_reg_real`, and a float gets a float back (log_gamma: x > 0, xi:
+x > -2, with a float shift loop that copies cmath.log's log1p branch).
+Every other s of the zeta family takes the numpy kernel `_reg_lines`,
+which also serves the quadrature lines and the zero search of `quad`.
+Complex quotients are numpy's, so numpy loads for complex arguments and
+`sieve_primes` only; real arguments load none.  `_reg_real` keeps the bits
+of the real part of the complex evaluation: numpy's pairwise order for its
+29-term sums and a multiply by the reciprocal where numpy divides.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ EULER_GAMMA = 0.5772156649015328606065
 LN_PI = math.log(math.pi)
 IM_WINDOW = 200.0
 RE_MIN = -3.0
-RE_MAX = 1e20  # ln|zeta| is exactly 0.0 long before; far beyond, the sums go NaN
+RE_MAX = 1e20  # zeta is exactly 1.0 long before
 _SIEVE_BUDGET = 2**30  # bytes of sieve flags one request may allocate
 # log_gamma shifts one unit at a time up to Re >= 9: about 2 ms from here on
 # a 2-vCPU Xeon, linear in |Re s|, and past 2^53 a unit step no longer moves
@@ -55,6 +58,8 @@ _STIRLING = tuple(b / ((2 * (k + 1)) * (2 * (k + 1) - 1)) for k, b in enumerate(
 _MAX_N = max(30, math.ceil(1.3 * IM_WINDOW)) + 1
 _LOGN = tuple(math.log(n) for n in range(1, _MAX_N + 1))
 _LN30 = _LOGN[29]  # ln N for every real s
+# Complex values per n^-s block of `_reg_lines`, 64 kB
+_TERMS = 4096
 
 
 def _as_complex(s) -> complex:
@@ -81,50 +86,21 @@ def _in_window(s) -> complex:
     return z
 
 
-def _pairwise_sum(a: list):
-    """Sum of the list a, added in the order of numpy's `.sum()` of a
-    complex128 array: a run of more than 64 is halved, the cut rounded
-    down to a multiple of 4; a shorter one goes through four interleaved
-    accumulators and a sequential tail.  Every sum here has at least 29
-    terms, so numpy's branch below 4 is never needed."""
-    n = len(a)
-    if n > 64:
-        mid = (n - n % 8) // 2
-        return _pairwise_sum(a[:mid]) + _pairwise_sum(a[mid:])
-    top = n - n % 4
-    r0, r1, r2, r3 = a[:4]
-    for i in range(4, top, 4):
-        r0 += a[i]
-        r1 += a[i + 1]
-        r2 += a[i + 2]
-        r3 += a[i + 3]
-    out = (r0 + r1) + (r2 + r3)
-    for v in a[top:]:
-        out += v
-    return out
-
-
 def _cdiv(a, b):
-    """a / b for a finite b, rounded as numpy divides complex128: Smith's
-    method with one reciprocal.  Python's `/` divides twice and can differ
-    in the last bit.  For real a and b that is a * (1.0 / b)."""
-    if not isinstance(b, complex):
-        return a * (1.0 / b) if b else _cdiv(a, complex(b)).real
-    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    if abs(br) >= abs(bi):
-        if br == 0.0:  # b == 0: numpy's inf or nan, without its warning
-            return complex(*(x * math.inf if x else math.nan for x in (ar, ai)))
-        rat = bi / br
-        scl = 1.0 / (br + bi * rat)
-        return complex((ar + ai * rat) * scl, (ai - ar * rat) * scl)
-    rat = br / bi
-    scl = 1.0 / (bi + br * rat)
-    return complex((ar * rat + ai) * scl, (ai * rat - ar) * scl)
+    """a / b rounded as numpy divides complex128: numpy itself for a complex
+    b, with no warning where b is 0 or the quotient overflows; a * (1.0 / b)
+    for a float b, its real part, which Python's `/` can miss by a bit."""
+    if isinstance(b, complex):
+        import numpy as np
+
+        with np.errstate(all="ignore"):
+            return complex(np.complex128(a) / b)
+    return a * (1.0 / b) if b else a * math.inf  # numpy's a / +0.0 of b == 0
 
 
 def _sum29(a: list) -> float:
-    """`_pairwise_sum` of 29 terms: four interleaved chains of seven, then
-    the last term."""
+    """numpy's pairwise `.sum()` of 29 terms: four interleaved chains of
+    seven, then the last term."""
     return ((a[0] + a[4] + a[8] + a[12] + a[16] + a[20] + a[24])
             + (a[1] + a[5] + a[9] + a[13] + a[17] + a[21] + a[25])) + (
         (a[2] + a[6] + a[10] + a[14] + a[18] + a[22] + a[26])
@@ -132,9 +108,11 @@ def _sum29(a: list) -> float:
 
 
 def _reg_real(x: float, want_deriv: bool):
-    """`_reg_em` at real s = x, written out in float arithmetic.  On the
-    real axis N = 30, and every rounding is that of the real part of the
-    complex steps; a test compares the bits."""
+    """Euler-Maclaurin evaluation of reg(s) = (s-1)*zeta(s) and optionally
+    its s-derivative at real s = x, written out in float arithmetic.  reg is
+    entire and equals 1 at s = 1 exactly.  On the real axis N = 30, and
+    every rounding is that of the real part of the complex steps in numpy;
+    a test compares the bits."""
     mx = -x
     pw = [math.exp(mx * v) for v in _LOGN[:29]]  # n^-x, n = 1 .. 29
     n_pow_ms = math.exp(mx * _LN30)  # 30^-x
@@ -172,54 +150,99 @@ def _reg_real(x: float, want_deriv: bool):
     return reg, inner + (x - 1.0) * dinner - ln * n_pow_1ms
 
 
-def _reg_em(s: complex, want_deriv: bool):
-    """Euler-Maclaurin evaluation of reg(s) = (s-1)*zeta(s) and optionally
-    its s-derivative, in complex arithmetic for Im s != 0.  reg is entire
-    and equals 1 at s = 1 exactly.  The sums add in numpy's pairwise order.
-    On the real axis `_reg_real` serves instead and rounds as the real
-    parts of these steps do: the same sums, N = 30 and `_cdiv`'s 1.0 / b."""
-    n_trunc = max(30, math.ceil(1.3 * abs(s.imag)))
-    logn = _LOGN[: n_trunc - 1]          # n = 1 .. N-1
-    pw = [cmath.exp(-s * v) for v in logn]  # n^-s
-    base = _pairwise_sum(pw)
+def _n_trunc(t):
+    """The Euler-Maclaurin truncation N = max(30, ceil(1.3|t|)) of each t of
+    an array."""
+    import numpy as np
 
-    ln_big = _LOGN[n_trunc - 1]
-    n_pow_ms = cmath.exp(-s * ln_big)    # N^-s
+    return np.maximum(30.0, np.ceil(1.3 * np.abs(t))).astype(np.intp)
 
-    # corrections: sum_k B_2k/(2k)! * (s)_(2k-1) * N^(1-2k-s), k = 1..7
-    corr = dcorr = 0.0
-    poch = s                             # (s)_(2k-1), grown two factors a round
-    dpoch = 1.0
-    npow = n_pow_ms / n_trunc            # N^(-s-1)
-    for k, coef in enumerate(_B_OVER_FACT):
-        if k:
-            for j in (2 * k - 1, 2 * k):
-                f = s + j
-                dpoch = dpoch * f + poch
-                poch = poch * f
-            npow /= n_trunc * n_trunc
-        corr += coef * poch * npow
-        if want_deriv:
-            dcorr += coef * npow * (dpoch - poch * ln_big)
 
-    inner = base + n_pow_ms / 2.0 + corr
-    n_pow_1ms = cmath.exp((1.0 - s) * ln_big)
-    reg = (s - 1.0) * inner + n_pow_1ms
-    if not want_deriv:
-        return reg, None
+def _n_pow_it(t, logn):
+    """n^-it = exp(-it ln n) for the ln n of the array `logn`, one row per t
+    of an array."""
+    import numpy as np
 
-    dbase = -_pairwise_sum([v * p for v, p in zip(logn, pw)])
-    dinner = dbase - ln_big * n_pow_ms / 2.0 + dcorr
-    dreg = inner + (s - 1.0) * dinner - ln_big * n_pow_1ms
-    return reg, dreg
+    return np.exp((-t[:, None] * logn) * 1j)
+
+
+def _reg_lines(rhos: list[float], t_top: float, want_deriv: bool = False):
+    """reg(s) = (s-1)*zeta(s) on the lines Re s = rhos[i] at once, as
+    `kern(t)(lines)`: the (lines, t) arrays (s, reg, dreg) for the indices i
+    in the array `lines` and a 1-D array of abscissae |t| <= t_top, with
+    dreg the s-derivative of reg if `want_deriv`, else None.
+
+    The Euler-Maclaurin sum of `_reg_real` with the truncation N =
+    max(30, ceil(1.3|t|)) in numpy complex arithmetic.  A base-sum term
+    n^-s is n^-rho, from libm's exp once per line and n, times n^-it, built
+    by `kern(t)` once per abscissa and n and shared by every line.  glibc's
+    cexp forms exp(x) cos y and exp(x) sin y, so the product has the bits of
+    np.exp(-s ln n).  Each row sums its own N - 1 terms in numpy's pairwise
+    order, so a value does not depend on the lines and abscissae around it."""
+    import numpy as np
+
+    logn, rho = np.array(_LOGN), np.array(rhos)
+    # numpy's SIMD exp rounds some n^-rho differently from libm
+    m = int(_n_trunc(np.array(t_top))) - 1
+    n_pow_rho = np.array([[math.exp(-r * ln) for ln in _LOGN[:m]] for r in rhos], dtype=complex)
+
+    def kern(t):
+        n_trunc = _n_trunc(t)
+        ln_big = logn[n_trunc - 1]
+        cuts = [0, *(np.flatnonzero(np.diff(n_trunc)) + 1).tolist(), t.size]
+        # one n^-it table per run of equal N
+        runs = [(a, b, _n_pow_it(t[a:b], logn[: n_trunc[a] - 1])) for a, b in zip(cuts, cuts[1:])]
+
+        def at(lines):
+            s = rho[lines, None] + 1j * t
+            base, dbase = np.empty_like(s), np.empty_like(s)
+            for a, b, n_it in runs:
+                step = max(1, _TERMS // n_it.size)
+                for j in range(0, lines.size, step):
+                    n_pow_s = n_pow_rho[lines[j : j + step], None, : n_it.shape[1]] * n_it
+                    base[j : j + step, a:b] = n_pow_s.sum(axis=-1)
+                    if want_deriv:
+                        dbase[j : j + step, a:b] = -(n_pow_s * logn[: n_it.shape[1]]).sum(axis=-1)
+                    del n_pow_s  # so that the next block is the only one held
+            # corrections: sum_k B_2k/(2k)! * (s)_(2k-1) * N^(1-2k-s), k = 1..7
+            n_pow_ms = np.exp(-s * ln_big)  # N^-s
+            corr, dcorr = np.zeros_like(s), np.zeros_like(s)
+            poch, dpoch = s, 1.0  # (s)_(2k-1) and its derivative, grown two factors a round
+            npow = n_pow_ms / n_trunc  # N^(-s-1)
+            for k, coef in enumerate(_B_OVER_FACT):
+                if k:
+                    for f in (s + (2 * k - 1), s + 2 * k):
+                        if want_deriv:
+                            dpoch = dpoch * f + poch
+                        poch = poch * f
+                    npow = npow / (n_trunc * n_trunc)
+                corr += coef * poch * npow
+                if want_deriv:
+                    dcorr += coef * npow * (dpoch - poch * ln_big)
+            inner = base + n_pow_ms / 2.0 + corr
+            n_pow_1ms = np.exp((1.0 - s) * ln_big)
+            reg = (s - 1.0) * inner + n_pow_1ms
+            if not want_deriv:
+                return s, reg, None
+            dinner = dbase - ln_big * n_pow_ms / 2.0 + dcorr
+            return s, reg, inner + (s - 1.0) * dinner - ln_big * n_pow_1ms
+
+        return at
+
+    return kern
 
 
 def _kernel(s, want_deriv: bool):
     """(s, reg, dreg) for s in the window: floats from `_reg_real` for a
-    real s; complex values for a complex s, from `_reg_real` on the axis."""
+    real s; complex values for a complex s, from `_reg_real` on the axis
+    and from `_reg_lines` off it."""
     z = _in_window(s)
     if z.imag != 0.0:
-        return (z, *_reg_em(z, want_deriv))
+        import numpy as np
+
+        at = _reg_lines([z.real], abs(z.imag), want_deriv)(np.array([z.imag]))
+        _, reg, dreg = at(np.zeros(1, dtype=np.intp))
+        return z, complex(reg[0, 0]), dreg if dreg is None else complex(dreg[0, 0])
     reg, dreg = _reg_real(z.real, want_deriv)
     if not isinstance(s, complex):
         return z.real, reg, dreg
@@ -267,7 +290,8 @@ def log_gamma(s):
     """Log-gamma by Stirling series after an argument shift to Re >= 9.
     Real and finite on the positive real axis, where a real s gets a float;
     continuous along vertical lines off the real axis; poles at the
-    nonpositive integers raise, and so does Re s below -1e4."""
+    nonpositive integers raise, and so do Re s below -1e4 and, off the
+    positive axis, Re s above RE_MAX."""
     z = _as_complex(s)
     if z.imag == 0.0 and z.real > 0.0:
         w, shift = z.real, 0.0
@@ -284,6 +308,10 @@ def log_gamma(s):
         raise DomainError(f"log_gamma pole at {z.real:g}")
     if z.real < _LOG_GAMMA_RE_MIN:
         raise DomainError(f"log_gamma needs Re s >= {_LOG_GAMMA_RE_MIN:g}, got {z.real:g}")
+    if z.real > RE_MAX:  # the Stirling powers z^(2k-1) overflow from about 1e26 on
+        raise DomainError(
+            f"log_gamma needs Re s <= {RE_MAX:g} off the positive axis, got {z.real:g}"
+        )
     shift = 0j
     w = z
     while w.real < 9.0:

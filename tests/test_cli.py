@@ -414,7 +414,7 @@ _KERNEL_CALLS = {"figure phi": 500, "figure field": 624, "figure well": 200, "fi
 @pytest.mark.parametrize("command", sorted(_KERNEL_CALLS))
 def test_closed_commands_use_only_the_real_kernel(monkeypatch, capsys, command):
     # one real-kernel call per closed-form evaluation (phi_closed returns 0
-    # at rho = 1/2 without one), and none on the complex path
+    # at rho = 1/2 without one), and none of the numpy kernel
     calls = collections.Counter()
 
     def count(module, name, key=None):
@@ -428,14 +428,14 @@ def test_closed_commands_use_only_the_real_kernel(monkeypatch, capsys, command):
         monkeypatch.setattr(module, name, counted)
 
     count(specfun, "_reg_real")
-    count(specfun, "_reg_em")
+    count(specfun, "_reg_lines")
     count(magneton, "phi_closed", key=lambda rho, *_: "phi_half" if rho == 0.5 else "phi_closed")
     for module, name in ((magneton, "field_E"), (magneton, "field_E_onesided"),
                          (specfun, "xi"), (diagnostics, "_well_log_equation")):
         count(module, name)
     code, _, _ = run(command.split(), capsys)
     assert code == 0
-    assert calls["_reg_em"] == 0
+    assert calls["_reg_lines"] == 0
     evaluations = sum(calls[k] for k in ("phi_closed", "field_E", "field_E_onesided",
                                          "xi", "_well_log_equation"))
     assert calls["_reg_real"] == evaluations == _KERNEL_CALLS[command], dict(calls)

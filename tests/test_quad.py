@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import pathlib
+import struct
 import tracemalloc
 
 import mpmath
@@ -181,6 +183,45 @@ def test_zero_ordinates_match_zetazero():
     assert max(abs(a - b) for a, b in zip(got, ZETA_ZEROS)) <= 1e-12
 
 
+# sha256 of the ordinates packed as little-endian doubles: the panel ends
+# of every table, whose goldens exist only at T = 50
+ZERO_DIGESTS = {
+    50.0: (10, "62cc1d0f50c3c1b7955edc2a81bfb4d4cb3f3d028d6c79ba48b02d766e37f7d6"),
+    100.0: (29, "6809107dea6f1058ec7cf6b79dfa77d791fffdc8eff912a2d929a56d22df8468"),
+    200.0: (79, "03eae62a697b5eb9c6294456ef4d357dea56fdae13df445fce9ee18629f0d6b6"),
+}
+
+
+@pytest.mark.parametrize("t_max", sorted(ZERO_DIGESTS))
+def test_zero_ordinates_pinned(t_max):
+    got = quad._zero_ordinates(t_max)
+    digest = hashlib.sha256(struct.pack(f"<{len(got)}d", *got)).hexdigest()
+    assert (len(got), digest) == ZERO_DIGESTS[t_max]
+
+
+def test_lockstep_bisection_equals_each_bracket_alone():
+    # one bracket bisected by itself with the same sign function, one
+    # midpoint per call, ends where the lockstep search ends it
+    z = quad._hardy_z(100.0)
+    positive = lambda t: z(t) > 0.0
+    grid = np.linspace(0.0, 100.0, 401)
+    signs = positive(grid)
+    at = np.flatnonzero(signs[1:] != signs[:-1])
+    together = quad._bisect(grid[at], grid[at + 1], positive).tolist()
+    alone = []
+    for lo, hi, sign in zip(grid[at].tolist(), grid[at + 1].tolist(), signs[at].tolist()):
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if positive(np.array([mid]))[0] == sign:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+        alone.append(lo)
+    assert len(together) == 29
+    assert together == alone
+
+
 def test_phi_numeric_t_max_on_first_zero():
     # t_max a few ulp above the first ordinate leaves a last panel a few
     # ulp wide; with its equal share of the tolerance it still closes
@@ -221,13 +262,14 @@ def test_line_kernel_matches_scalar(rng, rho):
         err = [abs(mpmath.log(a) - g) * min(1, a) for a, g in zip(az, got.tolist())]
     assert max(err) <= 3e-12, max(err)
     if rho == 0.5:
-        # on top of the first zero, |zeta| ~ 1e-7, the kernel and the
-        # scalar zeta cancel down to their rounding, so their moduli agree
-        # rather than their logs
+        # on top of the first zero, |zeta| ~ 1e-7, the sum cancels down to
+        # its rounding, so the modulus is good to an absolute error rather
+        # than its log: 4.6e-15 measured over 40 points
         t = 14.134725 + rng.uniform(-1e-6, 1e-6, 40)
         got = np.exp(quad._zeta_lines([rho], 200.0)(t)(one)[0])
-        want = np.array([abs(specfun.zeta(complex(rho, x))) for x in t.tolist()])
-        assert np.max(np.abs(got - want)) <= 1e-14
+        with mpmath.workdps(30):
+            want = [abs(mpmath.zeta(mpmath.mpc(rho, x))) for x in t.tolist()]
+        assert max(abs(float(w) - g) for w, g in zip(want, got.tolist())) <= 1e-14
 
 
 def test_line_kernel_error_signals(monkeypatch):
@@ -288,8 +330,9 @@ def test_lines_build_one_n_it_row_per_node(monkeypatch):
     # the 81 grid lines at T = 50 evaluate 73,567 (line, node) pairs at
     # 1,146 distinct nodes, and each node's n^-it row is built once
     rows = []
-    build = quad._n_pow_it
-    monkeypatch.setattr(quad, "_n_pow_it", lambda t, m: rows.append(t.size) or build(t, m))
+    build = specfun._n_pow_it
+    quad._zero_ordinates(50.0)  # the zero search, which builds rows of its own, once
+    monkeypatch.setattr(specfun, "_n_pow_it", lambda t, logn: rows.append(t.size) or build(t, logn))
     got = quad.phi_numeric_lines(_grid())
     assert sum(det.n_evals for det in got) == 73567
     assert sum(rows) == 1146
