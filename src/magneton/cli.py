@@ -126,9 +126,11 @@ def _parse_rho_spec(tokens: list[str]) -> list[float]:
 
 
 def cmd_table(args) -> int:
+    rhos = _parse_rho_spec(args.rho)
+    # numpy starts loading here and in cmd_taylor, nowhere else in cli:
+    # quad and taylor import it at the top
     from . import quad
 
-    rhos = _parse_rho_spec(args.rho)
     cfg = quad.QuadratureConfig(
         t_max=args.t_max, abs_tol=args.tol, max_depth=args.max_depth
     )
@@ -312,10 +314,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_taylor(args) -> int:
-    from . import taylor
-
     if args.order < 0 or args.order > 20:
         raise DomainError(f"order must be in [0, 20], got {args.order}")
+    from . import taylor  # numpy starts loading here (see cmd_table)
+
     coeffs = taylor.compute_coefficients(
         args.order, args.prime_limit, args.k_max, args.tail_budget
     )

@@ -43,7 +43,9 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import specfun
 from .errors import ConvergenceError, DomainError
@@ -65,11 +67,6 @@ _PAIRS = 1024
 # Bytes of line state per batch of lines integrated together: 16 a term of
 # the kernel's n^-rho row, 8 a panel for each of eight arrays of _integrate
 _BATCH_BYTES = 2**18
-
-# numpy is imported inside the functions that build arrays, so that the
-# scalar commands (figure, constants) never load it
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -116,8 +113,6 @@ def _integrate(
     is the one it gets alone.  The first line in order that fails raises
     its own error; the lines after it stop at once, since nothing they do
     can change what is raised."""
-    import numpy as np
-
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     r = 0.5 * (hi - lo)
     n_pan = lo.size
@@ -128,12 +123,13 @@ def _integrate(
     is_open = np.ones(shape, dtype=bool)
     n_evals = np.zeros(n_lines, dtype=int)
     done: list[QuadResult | None] = [None] * n_lines
-    live, failure = n_lines, None  # lines from `live` on cannot matter
+    failure = None
 
     def fail(line: int, exc: ConvergenceError):
-        nonlocal live, failure
-        if line < live:
-            live, failure = line, exc
+        # only open lines fail, so `line` comes before any earlier failure,
+        # and the lines from it on can no longer change what is raised
+        nonlocal failure
+        is_open[line:], failure = False, exc
 
     for level in range(cfg.max_depth + 1):
         h = 0.5**level
@@ -143,7 +139,7 @@ def _integrate(
         # without cancellation; the weight is r * g
         delta = 2.0 / (1.0 + np.exp(math.pi * np.sinh(u)))
         g = 0.5 * math.pi * np.cosh(u) * delta * (2.0 - delta)
-        rows = np.flatnonzero(is_open[:live].any(axis=0))
+        rows = np.flatnonzero(is_open.any(axis=0))
         d = r[rows, None] * delta
         ends = np.stack((lo[rows], hi[rows]), axis=1)[:, :, None]
         keep = d[:, None, :] > np.spacing(np.abs(ends))
@@ -153,7 +149,7 @@ def _integrate(
         nodes = np.stack((lo[rows, None] + d, hi[rows, None] - d), axis=1)
         weight = r[rows, None] * g
         counts = keep.sum(axis=(1, 2))
-        n_new = (is_open[:live, rows] * counts).sum(axis=1)
+        n_new = (is_open[:, rows] * counts).sum(axis=1)
         over = np.flatnonzero(n_new > _MAX_NODES)
         if over.size:
             fail(int(over[0]), ConvergenceError(
@@ -162,9 +158,9 @@ def _integrate(
             ))
         # this level's sum on each (line, panel), added node by node in node
         # order from 0.0 as np.bincount adds, as the line alone sums it
-        lev_sum, lev_abs = np.zeros((live, n_pan)), np.zeros((live, n_pan))
+        lev_sum, lev_abs = np.zeros(shape), np.zeros(shape)
         for k, p in enumerate(rows.tolist()):
-            lines = np.flatnonzero(is_open[:live, p])
+            lines = np.flatnonzero(is_open[:, p])
             t = nodes[k][keep[k]]
             w = np.broadcast_to(weight[k], keep[k].shape)[keep[k]]
             n_evals[lines] += t.size
@@ -172,7 +168,7 @@ def _integrate(
                 values = fv(t[c : c + _LINE_CHUNK])
                 per = max(1, _PAIRS // min(_LINE_CHUNK, t.size - c))
                 for ls in (lines[i : i + per] for i in range(0, lines.size, per)):
-                    ls = ls[ls < live]
+                    ls = ls[is_open[ls, p]]
                     if not ls.size:
                         break
                     f = values(ls)
@@ -185,23 +181,21 @@ def _integrate(
                     at = np.repeat(ls * n_pan + p, f.shape[1])
                     np.add.at(lev_sum.reshape(-1), at, wf.ravel())
                     np.add.at(lev_abs.reshape(-1), at, np.abs(wf).ravel())
-        wf_sum[:live] += lev_sum[:live]
-        wf_abs[:live] += lev_abs[:live]
-        is_live = is_open[:live]
-        new = h * wf_sum[:live]
+        wf_sum += lev_sum
+        wf_abs += lev_abs
+        new = h * wf_sum
         if level:
-            step_err = np.abs(new - value[:live]) + 2.0**-52 * h * wf_abs[:live]
-            err[:live][is_live] = step_err[is_live]
-        value[:live][is_live] = new[is_live]
-        is_live &= err[:live] > tol
-        for i in np.flatnonzero(~is_live.any(axis=1)).tolist():
+            step_err = np.abs(new - value) + 2.0**-52 * h * wf_abs
+            err[is_open] = step_err[is_open]
+        value[is_open] = new[is_open]
+        is_open &= err > tol
+        for i in np.flatnonzero(~is_open.any(axis=1)).tolist():
             if done[i] is None:
                 done[i] = QuadResult(float(value[i].sum()), float(err[i].sum()), int(n_evals[i]), level)
-        if all(done[:live]):
+        if not is_open.any():
             break
     else:
-        i = done.index(None)
-        p = int(np.flatnonzero(is_open[i])[0])
+        i, p = np.argwhere(is_open)[0].tolist()  # the first open line's first open panel
         fail(i, ConvergenceError(
             f"panel [{lo[p]:.6g}, {hi[p]:.6g}] not converged at depth limit "
             f"{cfg.max_depth}: error {err[i, p]:.3g} > {tol:.3g}"
@@ -217,8 +211,6 @@ def _zeta_lines(rhos: list[float], t_top: float):
     and a 1-D array of at most _LINE_CHUNK abscissae |t| <= t_top, from the
     values of `specfun._reg_lines`.  A |zeta| below _ZERO_FLOOR maps to
     -inf, a zero hit."""
-    import numpy as np
-
     reg_lines = specfun._reg_lines(rhos, t_top)
 
     def kern(t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -245,8 +237,6 @@ def _hardy_z(t_max: float) -> Callable[[np.ndarray], np.ndarray]:
     |t| <= t_max, with the Riemann-Siegel theta(t) = Im ln Gamma(1/4 + it/2)
     - (t/2) ln pi from the scalar `log_gamma` and zeta from
     `specfun._reg_lines`, _LINE_CHUNK abscissae at a time."""
-    import numpy as np
-
     kern, half = specfun._reg_lines([0.5], t_max), np.zeros(1, dtype=np.intp)
 
     def z(t: np.ndarray) -> np.ndarray:
@@ -286,8 +276,6 @@ def _zero_ordinates(t_max: float) -> tuple[float, ...]:
     """Ordinates in (0, t_max) of the zeta zeros on the half line: each sign
     change of Z on a grid of step at most _Z_STEP, bisected until its two
     ends are adjacent floats."""
-    import numpy as np
-
     n = math.ceil(t_max / _Z_STEP)
     grid = np.array([t_max * k / n for k in range(n + 1)])
     z = _hardy_z(t_max)
@@ -306,8 +294,6 @@ def phi_numeric_lines(
     batches of _BATCH_BYTES of line state (144 at T = 50, 28 at T = 200).
     What is raised is what the first failing line raises alone; the lines
     after it are not integrated."""
-    import numpy as np
-
     cfg = config or QuadratureConfig()
     rhos = [float(rho) for rho in rhos]
     refused = None
@@ -319,6 +305,10 @@ def phi_numeric_lines(
         except DomainError as exc:
             rhos, refused = rhos[:i], exc
             break
+    if not rhos:  # no line to integrate, so no zero search
+        if refused is not None:
+            raise refused
+        return []
     edges = [0.0, *_zero_ordinates(cfg.t_max), cfg.t_max]
     n_trunc = int(specfun._n_trunc(np.array(cfg.t_max)))
     size = max(1, _BATCH_BYTES // (16 * n_trunc + 64 * len(edges)))

@@ -383,12 +383,16 @@ def xi(s):
     points s = 0, 1 need no special casing.  The trivial zero s = -2 hits
     the Gamma pole of this factorization and raises DomainError; the others
     lie outside the window.  Values beyond the double range (real s from
-    about 433 on) raise OverflowError.  A real s > -2 gets a float."""
+    about 433 on) raise OverflowError, one message whether the product or
+    its exponential factor overflows.  A real s > -2 gets a float."""
     z = _in_window(s)
     w = z.real if z.imag == 0.0 and z.real > -2.0 else z
-    out = 2.0 * cmath.exp(-w / 2.0 * LN_PI + log_gamma(w / 2.0 + 1.0)) * zeta_reg(w)
+    try:
+        out = 2.0 * cmath.exp(-w / 2.0 * LN_PI + log_gamma(w / 2.0 + 1.0)) * zeta_reg(w)
+    except OverflowError:  # cmath.exp past the double range
+        out = math.inf
     if not cmath.isfinite(out):
-        raise OverflowError(f"|xi({z:g})| exceeds the double range")
+        raise OverflowError(f"|xi({w:g})| exceeds the double range")
     return out.real if w is not z and not isinstance(s, complex) else out
 
 

@@ -135,6 +135,23 @@ def test_table_node_cap_inside_a_batch(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
+    "rhos,message",
+    [
+        (["-5"], "Re s = -5 lies left of the supported window Re s >= -3"),
+        (["nan", "2"], "rho must be finite, got nan"),  # phi_closed refuses the first row
+    ],
+    ids=["left-of-window", "nan-first-row"],
+)
+def test_table_with_no_line_left_skips_the_zero_search(monkeypatch, capsys, rhos, message):
+    calls = []
+    hardy_z = quad._hardy_z
+    monkeypatch.setattr(quad, "_hardy_z", lambda t_max: calls.append(t_max) or hardy_z(t_max))
+    quad._zero_ordinates.cache_clear()
+    assert run(["table", "--rho", *rhos], capsys) == (2, "", f"error: {message}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
     "exc,code,line",
     [
         (DomainError("stub"), 2, "error: stub"),
@@ -521,9 +538,12 @@ def test_constants_reports_worst_failure(monkeypatch, capsys, over_one, over_zer
     [
         ("-c", "import magneton.cli"),
         ("-m", "magneton", "figure", "phi"),
+        ("-m", "magneton", "figure", "field"),
+        ("-m", "magneton", "figure", "well"),
+        ("-m", "magneton", "figure", "xi"),
         ("-m", "magneton", "constants"),
     ],
-    ids=["import", "figure", "constants"],
+    ids=["import", "figure", "figure-field", "figure-well", "figure-xi", "constants"],
 )
 def test_scalar_commands_leave_numpy_unloaded(args):
     # -X importtime logs every module the interpreter loads, startup included

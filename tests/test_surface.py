@@ -1,11 +1,14 @@
 """The public surface of the package: README's Library block runs and
-prints what its comments say, and every public function has a caller in
-the package or a line in that block."""
+prints what its comments say, every public function has a caller in the
+package or a line in that block, and numpy and mpmath are imported only
+where the import rule below allows."""
 
 import ast
 import math
 import pathlib
 import re
+import subprocess
+import sys
 from collections import Counter
 
 from magneton import magneton, quad
@@ -72,3 +75,49 @@ def test_public_functions_have_a_caller():
         and used[fn.name] == _names(fn)[fn.name] and not documented[fn.name]
     ]
     assert orphans == []
+
+
+def _imports() -> set[tuple[str, str | None, str]]:
+    """(module, the top-level function holding the import or None, the
+    module imported, package-relative for the package's own) for every
+    import statement in src/magneton."""
+    out = set()
+    for path in sorted((ROOT / "src" / "magneton").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = top.name if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level and not node.module:
+                    names = [alias.name for alias in node.names]  # from . import quad
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module.split(".")[0]]
+                else:
+                    continue
+                out |= {(path.stem, where, name) for name in names}
+    return out
+
+
+def test_import_rule():
+    # numpy loads with quad and taylor, which only the table and taylor
+    # commands import, so figure and constants never load it; specfun's
+    # sieve and complex kernels import it when first called.  mpmath loads
+    # after the prime sums, which keeps it off taylor's RSS peak.
+    imports = _imports()
+
+    def sites(name: str) -> set:
+        return {(mod, where) for mod, where, imported in imports if imported == name}
+
+    assert {mod for mod, where in sites("numpy") if where is None} == {"quad", "taylor"}
+    assert {mod for mod, where in sites("numpy") if where is not None} == {"specfun"}
+    assert sites("mpmath") == {
+        ("taylor", "compute_coefficients_exact"), ("taylor", "rearranged_at_one_exact")
+    }
+    assert sites("quad") | sites("taylor") == {("cli", "cmd_table"), ("cli", "cmd_taylor")}
+
+
+def test_prime_route_leaves_mpmath_unloaded():
+    code = "import sys\nfrom magneton import taylor\ntaylor.compute_coefficients(20, 10**6)\nprint('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
