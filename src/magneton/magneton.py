@@ -59,26 +59,30 @@ def phi_closed(rho, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
     strip    : regularized forms, continuous across 0, 1/2, 1, vanishing
                at 1/2; RH-conditional (see RhMode)
     """
-    rho = _check_finite(rho)
-    if rho >= 1.0:
-        return PI * math.log(specfun.zeta(rho + 0.5))
-    if rho <= 0.0:
-        return PI * (
-            (rho - 0.5) * _LN_PI
-            + math.log(specfun.zeta(1.5 - rho))
-            + specfun.log_gamma(0.75 - 0.5 * rho)
-            - specfun.log_gamma(0.25 - 0.5 * rho)
-        )
+    return _phi(_check_finite(rho), mode, specfun.zeta_reg)
+
+
+def _phi(rho: float, mode: RhMode, reg) -> float:
+    """phi_closed at a finite rho, with (s-1)*zeta(s) from reg(s)."""
     _gate_strip(mode, rho, "phi_closed")
     if rho == 0.5:
         return 0.0
+    s = rho + 0.5 if rho > 0.5 else 1.5 - rho  # reflected left of 1/2
+    if rho >= 1.0:
+        return PI * math.log(reg(s) * (1.0 / (s - 1.0)))  # zeta(s), divided as specfun.zeta does
+    if rho <= 0.0:
+        return PI * (
+            (rho - 0.5) * _LN_PI
+            + math.log(reg(s) * (1.0 / (s - 1.0)))
+            + specfun.log_gamma(0.75 - 0.5 * rho)
+            - specfun.log_gamma(0.25 - 0.5 * rho)
+        )
     if rho > 0.5:
         # pi*ln zeta(rho+1/2) with the pole of zeta removed by hand:
         # ln((s-1)zeta(s)) - ln(s-1), s = rho+1/2
-        return PI * (math.log(specfun.zeta_reg(rho + 0.5)) - math.log(1.5 - rho))
-    s = 1.5 - rho  # reflected argument, in (1, 3/2)
+        return PI * (math.log(reg(s)) - math.log(1.5 - rho))
     return PI * (
-        math.log(specfun.zeta_reg(s))
+        math.log(reg(s))
         - math.log(0.5 + rho)
         + (rho - 0.5) * _LN_PI
         + specfun.log_gamma(0.75 - 0.5 * rho)
@@ -247,5 +251,12 @@ def well_S(x, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
     (x in (1/2, 3/2))."""
     x = _check_finite(x)
     rho = x - 0.5
-    return 0.5 * (phi_closed(rho, mode) + phi_closed(1.0 - rho, mode))
+    memo: dict[float, float] = {}
+
+    def reg(s: float) -> float:  # one call for both halves, two once rounding splits their s
+        if s not in memo:
+            memo[s] = specfun.zeta_reg(s)
+        return memo[s]
+
+    return 0.5 * (_phi(rho, mode, reg) + _phi(1.0 - rho, mode, reg))
 

@@ -165,6 +165,8 @@ def _integrate(
             w = np.broadcast_to(weight[k], keep[k].shape)[keep[k]]
             n_evals[lines] += t.size
             for c in range(0, t.size, _LINE_CHUNK):
+                if not is_open[lines, p].any():
+                    break  # a failure closed every line here: build no table
                 values = fv(t[c : c + _LINE_CHUNK])
                 per = max(1, _PAIRS // min(_LINE_CHUNK, t.size - c))
                 for ls in (lines[i : i + per] for i in range(0, lines.size, per)):

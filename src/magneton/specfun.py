@@ -12,7 +12,7 @@ closed form downstream needs it finite and positive through s = 1.
 
 A real s, float or complex with a zero imaginary part, takes the float
 kernel `_reg_real`, and a float gets a float back (log_gamma: x > 0, xi:
-x > -2, with a float shift loop that copies cmath.log's log1p branch).
+x > -2); a float in the window gets there without a complex round trip.
 Every other s of the zeta family takes the numpy kernel `_reg_lines`,
 which also serves the quadrature lines and the zero search of `quad`.
 Complex quotients are numpy's, so numpy loads for complex arguments and
@@ -54,10 +54,11 @@ _BERN = (
 _B_OVER_FACT = tuple(b / math.factorial(2 * (k + 1)) for k, b in enumerate(_BERN))
 # Stirling series coefficients B_2k / (2k * (2k - 1))
 _STIRLING = tuple(b / ((2 * (k + 1)) * (2 * (k + 1) - 1)) for k, b in enumerate(_BERN))
+_HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _MAX_N = max(30, math.ceil(1.3 * IM_WINDOW)) + 1
 _LOGN = tuple(math.log(n) for n in range(1, _MAX_N + 1))
-_LN30 = _LOGN[29]  # ln N for every real s
+_LOGN29, _LN30 = _LOGN[:29], _LOGN[29]  # ln n of the base sum and ln N for every real s
 # Complex values per n^-s block of `_reg_lines`, 64 kB
 _TERMS = 4096
 
@@ -113,9 +114,9 @@ def _reg_real(x: float, want_deriv: bool):
     entire and equals 1 at s = 1 exactly.  On the real axis N = 30, and
     every rounding is that of the real part of the complex steps in numpy;
     a test compares the bits."""
-    mx = -x
-    pw = [math.exp(mx * v) for v in _LOGN[:29]]  # n^-x, n = 1 .. 29
-    n_pow_ms = math.exp(mx * _LN30)  # 30^-x
+    mx, exp = -x, math.exp
+    pw = [exp(mx * v) for v in _LOGN29]  # n^-x, n = 1 .. 29
+    n_pow_ms = exp(mx * _LN30)  # 30^-x
     # corrections B_2k/(2k)! * (x)_(2k-1) * 30^(1-2k-x), k = 1..7
     b1, b2, b3, b4, b5, b6, b7 = _B_OVER_FACT
     f1, f2, f3, f4, f5, f6 = x + 1.0, x + 2.0, x + 3.0, x + 4.0, x + 5.0, x + 6.0
@@ -130,7 +131,7 @@ def _reg_real(x: float, want_deriv: bool):
     corr = (b1 * p1 * a1 + b2 * p2 * a2 + b3 * p3 * a3 + b4 * p4 * a4
             + b5 * p5 * a5 + b6 * p6 * a6 + b7 * p7 * a7)
     inner = _sum29(pw) + n_pow_ms / 2.0 + corr
-    n_pow_1ms = math.exp((1.0 - x) * _LN30)
+    n_pow_1ms = exp((1.0 - x) * _LN30)
     reg = (x - 1.0) * inner + n_pow_1ms
     if not want_deriv:
         return reg, None
@@ -236,6 +237,8 @@ def _kernel(s, want_deriv: bool):
     """(s, reg, dreg) for s in the window: floats from `_reg_real` for a
     real s; complex values for a complex s, from `_reg_real` on the axis
     and from `_reg_lines` off it."""
+    if type(s) is float and RE_MIN <= s <= RE_MAX:  # no round trip through complex
+        return (s, *_reg_real(s, want_deriv))
     z = _in_window(s)
     if z.imag != 0.0:
         import numpy as np
@@ -276,14 +279,23 @@ def reg_logderiv(s):
     return _cdiv(dreg, reg)
 
 
-def _stirling_log_gamma(z, log=cmath.log):
-    out = (z - 0.5) * log(z) - z + 0.5 * math.log(2.0 * math.pi)
-    zpow = z
-    z2 = z * z
-    for coef in _STIRLING:
-        out += coef / zpow
-        zpow *= z2
-    return out
+def _log_gamma_real(x: float) -> float:
+    """log_gamma at a float x > 0 with the bits of the real part of the
+    complex path: unit shifts to x >= 9, then the Stirling series."""
+    w, shift = x, 0.0
+    while w < 9.0:
+        # cmath.log(w).real as CPython computes it: log1p near |w| = 1 and
+        # subnormals scaled up by 2^53 first, both within the first two steps
+        shift += (math.log(w) if w > 1.73
+                  else math.log1p((w - 1.0) * (w + 1.0) + 0.0) / 2.0 if 0.71 <= w
+                  else math.log(w) if w >= sys.float_info.min
+                  else math.log(math.ldexp(w, 53)) - 53 * math.log(2.0))
+        w += 1.0
+    c1, c2, c3, c4, c5, c6, c7 = _STIRLING  # powers grown as the complex loop grows them
+    w2 = w * w
+    return ((w - 0.5) * math.log(w) - w + _HALF_LN_2PI + c1 / w + c2 / (p := w * w2)
+            + c3 / (p := p * w2) + c4 / (p := p * w2) + c5 / (p := p * w2)
+            + c6 / (p := p * w2) + c7 / (p * w2)) - shift
 
 
 def log_gamma(s):
@@ -292,17 +304,9 @@ def log_gamma(s):
     continuous along vertical lines off the real axis; poles at the
     nonpositive integers raise, and so do Re s below -1e4 and, off the
     positive axis, Re s above RE_MAX."""
-    z = _as_complex(s)
+    z = s if type(s) is float and 0.0 < s < math.inf else _as_complex(s)
     if z.imag == 0.0 and z.real > 0.0:
-        w, shift = z.real, 0.0
-        while w < 9.0:
-            # cmath.log(w).real as CPython computes it: log1p near |w| = 1,
-            # and subnormals scaled up by 2^53 first
-            shift += (math.log1p((w - 1.0) * (w + 1.0) + 0.0) / 2.0 if 0.71 <= w <= 1.73
-                      else math.log(w) if w >= sys.float_info.min
-                      else math.log(math.ldexp(w, 53)) - 53 * math.log(2.0))
-            w += 1.0
-        out = _stirling_log_gamma(w, math.log) - shift
+        out = _log_gamma_real(z.real)
         return complex(out, 0.0) if isinstance(s, complex) else out
     if z.imag == 0.0 and z.real == math.floor(z.real):
         raise DomainError(f"log_gamma pole at {z.real:g}")
@@ -317,7 +321,12 @@ def log_gamma(s):
     while w.real < 9.0:
         shift += cmath.log(w)
         w += 1.0
-    return _stirling_log_gamma(w) - shift
+    out = (w - 0.5) * cmath.log(w) - w + _HALF_LN_2PI
+    wpow, w2 = w, w * w
+    for coef in _STIRLING:
+        out += coef / wpow
+        wpow *= w2
+    return out - shift
 
 
 def digamma(x: float) -> float:
@@ -385,10 +394,13 @@ def xi(s):
     lie outside the window.  Values beyond the double range (real s from
     about 433 on) raise OverflowError, one message whether the product or
     its exponential factor overflows.  A real s > -2 gets a float."""
-    z = _in_window(s)
+    fast = type(s) is float and -2.0 < s <= RE_MAX  # float arithmetic, same bits
+    z = s if fast else _in_window(s)
     w = z.real if z.imag == 0.0 and z.real > -2.0 else z
     try:
-        out = 2.0 * cmath.exp(-w / 2.0 * LN_PI + log_gamma(w / 2.0 + 1.0)) * zeta_reg(w)
+        # cmath.exp for a float too: past ln(DBL_MAX) - 1 it forms exp(x - 1) * e
+        e = cmath.exp(-w / 2.0 * LN_PI + log_gamma(w / 2.0 + 1.0))
+        out = 2.0 * (e.real if fast else e) * zeta_reg(w)
     except OverflowError:  # cmath.exp past the double range
         out = math.inf
     if not cmath.isfinite(out):

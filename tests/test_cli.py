@@ -425,13 +425,14 @@ def test_constants(capsys):
 
 
 # the real-kernel calls each closed command makes on its default grid
-_KERNEL_CALLS = {"figure phi": 500, "figure field": 624, "figure well": 200, "figure xi": 101, "constants": 36}
+_KERNEL_CALLS = {"figure phi": 500, "figure field": 624, "figure well": 100, "figure xi": 101, "constants": 36}
 
 
 @pytest.mark.parametrize("command", sorted(_KERNEL_CALLS))
 def test_closed_commands_use_only_the_real_kernel(monkeypatch, capsys, command):
-    # one real-kernel call per closed-form evaluation (phi_closed returns 0
-    # at rho = 1/2 without one), and none of the numpy kernel
+    # one real-kernel call per evaluated row or constant: well_S evaluates
+    # both potential halves of its row from one call, and phi_closed (0.5)
+    # and well_S (1.0) return 0 without one; none of the numpy kernel
     calls = collections.Counter()
 
     def count(module, name, key=None):
@@ -447,13 +448,14 @@ def test_closed_commands_use_only_the_real_kernel(monkeypatch, capsys, command):
     count(specfun, "_reg_real")
     count(specfun, "_reg_lines")
     count(magneton, "phi_closed", key=lambda rho, *_: "phi_half" if rho == 0.5 else "phi_closed")
+    count(magneton, "well_S", key=lambda x, *_: "well_one" if x == 1.0 else "well_S")
     for module, name in ((magneton, "field_E"), (magneton, "field_E_onesided"),
                          (specfun, "xi"), (diagnostics, "_well_log_equation")):
         count(module, name)
     code, _, _ = run(command.split(), capsys)
     assert code == 0
     assert calls["_reg_lines"] == 0
-    evaluations = sum(calls[k] for k in ("phi_closed", "field_E", "field_E_onesided",
+    evaluations = sum(calls[k] for k in ("phi_closed", "well_S", "field_E", "field_E_onesided",
                                          "xi", "_well_log_equation"))
     assert calls["_reg_real"] == evaluations == _KERNEL_CALLS[command], dict(calls)
 

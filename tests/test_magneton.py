@@ -199,6 +199,36 @@ def test_mode_gating():
     mg.well_S(1.8, out)
 
 
+def _kernel_calls(monkeypatch) -> list:
+    args = []
+    real = specfun._reg_real
+    monkeypatch.setattr(specfun, "_reg_real", lambda x, d: args.append(x) or real(x, d))
+    return args
+
+
+def test_well_is_the_mean_of_its_halves(monkeypatch):
+    # bit for bit the two phi_closed halves, from one kernel call a row
+    xs = [-2.5 + k / 512 for k in range(7 * 512 + 1)] + [0.02 + 0.000196 * k for k in range(5001)]
+    args = _kernel_calls(monkeypatch)
+    for x in xs:
+        rho = x - 0.5
+        want = 0.5 * (mg.phi_closed(rho) + mg.phi_closed(1.0 - rho))
+        del args[:]
+        assert mg.well_S(x) == want, x
+        assert len(args) == (0 if x == 1.0 else 1), x
+
+
+def test_well_two_call_fallback(monkeypatch):
+    # at x = -2^53 the halves ask for zeta at 2^53 + 2 and 2^53: 1 - rho and
+    # 1.5 - rho round differently, so the row takes two kernel calls
+    x = -(2.0**53)
+    rho = x - 0.5
+    want = 0.5 * (mg.phi_closed(rho) + mg.phi_closed(1.0 - rho))
+    args = _kernel_calls(monkeypatch)
+    assert mg.well_S(x) == want
+    assert args == [2.0**53 + 2.0, 2.0**53]
+
+
 def test_well_basics():
     assert mg.well_S(1.0) == 0.0
     assert mg.well_S(1.3) == mg.well_S(0.7)

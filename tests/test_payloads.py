@@ -11,6 +11,7 @@ files are rewritten; with none, every golden is.  Name the goldens a change
 adds, so the others stay pinned to the code they were made from.
 """
 
+import hashlib
 import pathlib
 
 import pytest
@@ -66,6 +67,28 @@ def test_payload_matches_golden(name, tmp_path, capsys):
     assert capsys.readouterr().err == ""
     want = (PAYLOADS / f"{name}.csv").read_text(encoding="utf-8")
     assert got == want
+
+
+# The closed-figures commands of the benchmark at seed 1, at their real size
+# of about 10,000 rows: sha256 of each payload without its timestamp line.
+FIGURE_DIGESTS = {
+    ("figure", "phi", "--lo=-2.000137", "--hi=3.059863", "--step=0.000506"):
+        "8ce4e09398dde820d5387dafb8d968db7f428b0a535520c4929663c5062b97b7",
+    ("figure", "field", "--lo=-2.000379", "--hi=3.099621", "--step=0.00051"):
+        "88ab1f7e8f1b2946e6486261c13dcc18966dd7b5df2013357afc2d885669c91f",
+    ("figure", "well", "--lo=0.02", "--hi=1.98", "--step=0.000196"):
+        "d7f563bb0ff2b2f48791e2bec151af77a5c23dc28f739cd9784babfe8e342c86",
+    ("figure", "xi", "--lo=-0.015", "--hi=2.015", "--step=0.000203"):
+        "627c0387400b2277dd97b04737ab38faa7f5b77c8d6a8fa288d2d114080d4c59",
+    ("constants",): "ce9e0928ae997a7a78de4080ba19c576e76f28a93fa54ea003534258001960f6",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FIGURE_DIGESTS), ids=" ".join)
+def test_full_size_payload_digest(argv, tmp_path, capsys):
+    got = _payload(list(argv), tmp_path / "out.csv")
+    assert capsys.readouterr().err == ""
+    assert hashlib.sha256(got.encode("utf-8")).hexdigest() == FIGURE_DIGESTS[argv]
 
 
 @pytest.mark.parametrize("name", sorted(REFUSALS))

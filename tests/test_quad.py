@@ -385,6 +385,29 @@ def test_lines_raise_the_first_failure_alone(monkeypatch, lines, depth):
     assert str(got.value) == first
 
 
+def test_failure_builds_no_unread_table(monkeypatch):
+    # once a failure closes every line of a panel, the rest of its nodes
+    # get no n^-it table: every table built is evaluated
+    monkeypatch.setattr(quad, "_MAX_NODES", 300)
+    built, read = [], set()
+    zeta_lines = quad._zeta_lines
+
+    def counted(rhos, t_top):
+        kern = zeta_lines(rhos, t_top)
+
+        def table(t):
+            at, key = kern(t), len(built)
+            built.append(key)
+            return lambda lines: read.add(key) or at(lines)
+
+        return table
+
+    monkeypatch.setattr(quad, "_zeta_lines", counted)
+    with pytest.raises(ConvergenceError, match="above the cap 300"):
+        quad.phi_numeric_lines([2.0, 0.5, 1.0, 0.2])
+    assert len(built) == len(read) == 50
+
+
 def test_lines_refuse_in_order():
     cfg = quad.QuadratureConfig(max_depth=4)
     with pytest.raises(ConvergenceError, match="depth limit 4"):

@@ -464,8 +464,14 @@ _FLOAT_PATH = {
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(_FLOAT_PATH)), st.floats(-3.0, 60.0))
+@given(st.sampled_from(sorted(_FLOAT_PATH)), st.floats(-3.0, 60.0) | st.floats(300.0, 440.0))
 @example("xi", 433.0)
+# xi's last finite value, its first overflow, and where cmath.exp turns to
+# exp(x - 1) * e and where it overflows itself
+@example("xi", 432.7635057595044)
+@example("xi", 432.7635057595045)
+@example("xi", 435.4824127419271)
+@example("xi", 435.95395383901683)
 @example("zeta", 1.0)
 @example("zeta_logderiv", 0.5)
 @example("reg_logderiv", -2.000000000044)  # reg is exactly 0 here
@@ -485,6 +491,22 @@ def test_real_argument_is_the_axis_value(name, x):
     # and its inf + nan*j where reg is exactly 0
     assert want.imag == 0.0 or (math.isinf(want.real) and math.isnan(want.imag))
     assert _bits(got)[0] == _bits(want)[0]
+
+
+@pytest.mark.parametrize("name", ["zeta", "zeta_reg", "zeta_logderiv", "reg_logderiv", "xi"])
+@pytest.mark.parametrize("x,message", [
+    (math.nan, "non-finite argument nan"),
+    (math.inf, "non-finite argument inf"),
+    (-math.inf, "non-finite argument -inf"),
+    (math.nextafter(-3.0, -math.inf), "Re s = -3 lies left of the supported window Re s >= -3"),
+    (1e20 * (1.0 + 2.0**-52), "Re s = 1e+20 lies right of the supported window Re s <= 1e+20"),
+])
+def test_float_refusals_keep_their_messages(name, x, message):
+    # a float outside the window bypasses the float path and is refused as
+    # it always was
+    with pytest.raises(DomainError) as exc:
+        getattr(specfun, name)(x)
+    assert str(exc.value) == message
 
 
 def test_log_gamma_off_axis_right_edge():
