@@ -24,10 +24,10 @@ the search missed does not converge.  The panels do not depend on rho, so
 `phi_numeric_lines` integrates the lines of a table in one level loop: each
 level's new nodes go panel by panel through the line kernel
 `specfun._reg_lines` (the package's one complex zeta sum, which Z uses
-too), and it builds the factor n^-it of the zeta sum once per node for
-every line still open there.  Each line keeps its own panels, sums and
-decisions, so its result is the one `phi_numeric` gets for it alone, bit
-for bit.
+too), each piece of nodes in one call for every line still open there, so
+the factor n^-it of the zeta sum is built once per node.  Each line keeps
+its own panels, sums and decisions, so its result is the one
+`phi_numeric` gets for it alone, bit for bit.
 
 A panel still open at level ``max_depth`` raises ConvergenceError naming
 the leftmost one, and a non-finite integrand value raises it naming its
@@ -59,10 +59,10 @@ _U_MAX = 3.5
 # the closest zeta zeros on the half line below the window's height 200 are
 # 0.72 apart, so on a grid this fine each has a cell of its own
 _Z_STEP = 0.25
-# Abscissae per n^-it table of the line kernel: 64 rows of at most 260
-# terms, about 270 kB
+# Abscissae per call of the line kernel in the quadrature: an n^-it table
+# of 64 rows of at most 260 terms, about 270 kB
 _LINE_CHUNK = 64
-# (line, abscissa) pairs per pass of the line kernel
+# (line, abscissa) pairs per call, unless one abscissa has more lines open
 _PAIRS = 1024
 # Bytes of line state per batch of lines integrated together: 16 a term of
 # the kernel's n^-rho row, 8 a panel for each of eight arrays of _integrate
@@ -96,18 +96,17 @@ class QuadResult(NamedTuple):
 
 
 def _integrate(
-    fv: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    fv: Callable[[np.ndarray, np.ndarray], np.ndarray],
     edges: list[float],
     cfg: QuadratureConfig,
     n_lines: int = 1,
 ) -> list[QuadResult]:
     """Tanh-sinh over the panels between consecutive `edges`, for `n_lines`
-    integrands at once.  `fv(t)` takes an array of at most _LINE_CHUNK
-    abscissae and returns a function that maps an array of line indices to
-    the (lines, abscissae) array of values.  Each level calls fv once for
-    each piece of _LINE_CHUNK new nodes of a panel, and the function it
-    returns for the lines that still have that panel open, at most _PAIRS
-    values at a time.
+    integrands at once.  `fv(t, lines)` maps an array of abscissae and an
+    array of line indices to the (lines, abscissae) array of values.  Each
+    level calls fv on the new nodes of a panel piece by piece, each piece
+    for every line that still has the panel open: at most _LINE_CHUNK
+    nodes and, where more than one node fits, _PAIRS values a call.
 
     Each line keeps its own open panels, sums and counters, so its result
     is the one it gets alone.  The first line in order that fails raises
@@ -161,28 +160,26 @@ def _integrate(
         lev_sum, lev_abs = np.zeros(shape), np.zeros(shape)
         for k, p in enumerate(rows.tolist()):
             lines = np.flatnonzero(is_open[:, p])
+            if not lines.size:
+                continue
             t = nodes[k][keep[k]]
             w = np.broadcast_to(weight[k], keep[k].shape)[keep[k]]
             n_evals[lines] += t.size
-            for c in range(0, t.size, _LINE_CHUNK):
-                if not is_open[lines, p].any():
+            step = max(1, min(_LINE_CHUNK, _PAIRS // lines.size))
+            for c in range(0, t.size, step):
+                lines = lines[is_open[lines, p]]
+                if not lines.size:
                     break  # a failure closed every line here: build no table
-                values = fv(t[c : c + _LINE_CHUNK])
-                per = max(1, _PAIRS // min(_LINE_CHUNK, t.size - c))
-                for ls in (lines[i : i + per] for i in range(0, lines.size, per)):
-                    ls = ls[is_open[ls, p]]
-                    if not ls.size:
-                        break
-                    f = values(ls)
-                    bad = ~np.isfinite(f).all(axis=1)
-                    if bad.any():
-                        fail(int(ls[bad][0]), ConvergenceError(
-                            f"non-finite integrand on panel [{lo[p]:.6g}, {hi[p]:.6g}]"
-                        ))
-                    wf = w[c : c + _LINE_CHUNK] * f
-                    at = np.repeat(ls * n_pan + p, f.shape[1])
-                    np.add.at(lev_sum.reshape(-1), at, wf.ravel())
-                    np.add.at(lev_abs.reshape(-1), at, np.abs(wf).ravel())
+                f = fv(t[c : c + step], lines)
+                bad = ~np.isfinite(f).all(axis=1)
+                if bad.any():
+                    fail(int(lines[bad][0]), ConvergenceError(
+                        f"non-finite integrand on panel [{lo[p]:.6g}, {hi[p]:.6g}]"
+                    ))
+                wf = w[c : c + step] * f
+                at = np.repeat(lines * n_pan + p, f.shape[1])
+                np.add.at(lev_sum.reshape(-1), at, wf.ravel())
+                np.add.at(lev_abs.reshape(-1), at, np.abs(wf).ravel())
         wf_sum += lev_sum
         wf_abs += lev_abs
         new = h * wf_sum
@@ -207,48 +204,41 @@ def _integrate(
     return done
 
 
-def _zeta_lines(rhos: list[float], t_top: float):
-    """ln|zeta| on the lines rho = rhos[i] at once, as `kern(t)(lines)`: the
-    (lines, t) array of ln|zeta(rhos[i] + it)| for the indices i in `lines`
-    and a 1-D array of at most _LINE_CHUNK abscissae |t| <= t_top, from the
-    values of `specfun._reg_lines`.  A |zeta| below _ZERO_FLOOR maps to
-    -inf, a zero hit."""
-    reg_lines = specfun._reg_lines(rhos, t_top)
+def _zeta_lines(rhos: list[float], t_top: float) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """ln|zeta| on the lines rho = rhos[i] at once, as `log_abs(t, lines)`:
+    the (lines, t) array of ln|zeta(rhos[i] + it)| for the indices i in
+    `lines` and a 1-D array of abscissae |t| <= t_top, from the values of
+    `specfun._reg_lines`.  A |zeta| below _ZERO_FLOOR maps to -inf, a zero
+    hit."""
+    kern = specfun._reg_lines(rhos, t_top)
 
-    def kern(t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        at = reg_lines(t)
+    def log_abs(t: np.ndarray, lines: np.ndarray) -> np.ndarray:
+        s, reg, _ = kern(t, lines)
+        # next to the pole (rho = 1, t ~ 1e-308) the quotient overflows to
+        # inf, which the integration refuses as a non-finite value
+        with np.errstate(over="ignore"):
+            az = np.abs(reg / (s - 1.0))
+        out = np.full(s.shape, -math.inf)
+        hit = az >= _ZERO_FLOOR
+        out[hit] = np.log(az[hit])
+        return out
 
-        def log_abs(lines: np.ndarray) -> np.ndarray:
-            s, reg, _ = at(lines)
-            # next to the pole (rho = 1, t ~ 1e-308) the quotient overflows
-            # to inf, which the integration refuses as a non-finite value
-            with np.errstate(over="ignore"):
-                az = np.abs(reg / (s - 1.0))
-            out = np.full(s.shape, -math.inf)
-            hit = az >= _ZERO_FLOOR
-            out[hit] = np.log(az[hit])
-            return out
-
-        return log_abs
-
-    return kern
+    return log_abs
 
 
 def _hardy_z(t_max: float) -> Callable[[np.ndarray], np.ndarray]:
     """Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it) on arrays of abscissae
     |t| <= t_max, with the Riemann-Siegel theta(t) = Im ln Gamma(1/4 + it/2)
     - (t/2) ln pi from the scalar `log_gamma` and zeta from
-    `specfun._reg_lines`, _LINE_CHUNK abscissae at a time."""
+    `specfun._reg_lines`, one kernel call per array."""
     kern, half = specfun._reg_lines([0.5], t_max), np.zeros(1, dtype=np.intp)
 
     def z(t: np.ndarray) -> np.ndarray:
         theta = (specfun.log_gamma(complex(0.25, 0.5 * x)).imag - 0.5 * x * specfun.LN_PI
                  for x in t.tolist())
         rot = np.array([cmath.exp(1j * x) for x in theta])
-        zeta = np.empty(t.size, dtype=complex)
-        for c in range(0, t.size, _LINE_CHUNK):
-            s, reg, _ = kern(t[c : c + _LINE_CHUNK])(half)
-            zeta[c : c + _LINE_CHUNK] = reg[0] / (s[0] - 1.0)
+        s, reg, _ = kern(t, half)
+        zeta = reg[0] / (s[0] - 1.0)
         # the real part of rot * zeta as Python's complex product forms it
         return rot.real * zeta.real - rot.imag * zeta.imag
 
@@ -256,13 +246,13 @@ def _hardy_z(t_max: float) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _bisect(
-    lo: np.ndarray, hi: np.ndarray, positive: Callable[[np.ndarray], np.ndarray]
+    lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, positive: Callable[[np.ndarray], np.ndarray]
 ) -> np.ndarray:
     """The left end of each bracket [lo, hi] of a sign change of `positive`,
-    bisected until its two ends are adjacent floats.  All brackets step in
-    lockstep, one call of `positive` per step, and each ends where it ends
-    alone."""
-    lo, hi, sign = lo.copy(), hi.copy(), positive(lo)
+    whose value at lo is `sign`, bisected until its two ends are adjacent
+    floats.  All brackets step in lockstep, one call of `positive` per step,
+    and each ends where it ends alone."""
+    lo, hi = lo.copy(), hi.copy()
     while True:
         mid = 0.5 * (lo + hi)
         open_ = ((lo < mid) & (mid < hi)).nonzero()[0]
@@ -284,7 +274,7 @@ def _zero_ordinates(t_max: float) -> tuple[float, ...]:
     positive = lambda t: z(t) > 0.0
     signs = positive(grid)
     at = np.flatnonzero(signs[1:] != signs[:-1])
-    return tuple(_bisect(grid[at], grid[at + 1], positive).tolist())
+    return tuple(_bisect(grid[at], grid[at + 1], signs[at], positive).tolist())
 
 
 def phi_numeric_lines(
@@ -317,13 +307,9 @@ def phi_numeric_lines(
     out: list[QuadResult] = []
     for b0 in range(0, len(rhos), size):
         batch = rhos[b0 : b0 + size]
-        kern = _zeta_lines(batch, cfg.t_max)
-
-        def integrand(t: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-            at, lorentz = kern(t), 0.25 + t * t
-            return lambda lines: at(lines) / lorentz
-
-        out += _integrate(integrand, edges, cfg, len(batch))
+        log_abs = _zeta_lines(batch, cfg.t_max)
+        out += _integrate(lambda t, lines: log_abs(t, lines) / (0.25 + t * t), edges, cfg, len(batch))
+        del log_abs  # so that one batch's n^-rho rows are held at a time
     if refused is not None:
         raise refused
     return out

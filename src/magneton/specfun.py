@@ -34,7 +34,7 @@ LN_PI = math.log(math.pi)
 IM_WINDOW = 200.0
 RE_MIN = -3.0
 RE_MAX = 1e20  # zeta is exactly 1.0 long before
-_SIEVE_BUDGET = 2**30  # bytes of sieve flags one request may allocate
+_SIEVE_BUDGET = 2**29  # bytes of sieve flags one request may allocate
 # log_gamma shifts one unit at a time up to Re >= 9: about 2 ms from here on
 # a 2-vCPU Xeon, linear in |Re s|, and past 2^53 a unit step no longer moves
 # the argument at all.  No caller in the package goes below Re s = -1/2.
@@ -169,17 +169,18 @@ def _n_pow_it(t, logn):
 
 def _reg_lines(rhos: list[float], t_top: float, want_deriv: bool = False):
     """reg(s) = (s-1)*zeta(s) on the lines Re s = rhos[i] at once, as
-    `kern(t)(lines)`: the (lines, t) arrays (s, reg, dreg) for the indices i
+    `kern(t, lines)`: the (lines, t) arrays (s, reg, dreg) for the indices i
     in the array `lines` and a 1-D array of abscissae |t| <= t_top, with
     dreg the s-derivative of reg if `want_deriv`, else None.
 
     The Euler-Maclaurin sum of `_reg_real` with the truncation N =
     max(30, ceil(1.3|t|)) in numpy complex arithmetic.  A base-sum term
     n^-s is n^-rho, from libm's exp once per line and n, times n^-it, built
-    by `kern(t)` once per abscissa and n and shared by every line.  glibc's
-    cexp forms exp(x) cos y and exp(x) sin y, so the product has the bits of
-    np.exp(-s ln n).  Each row sums its own N - 1 terms in numpy's pairwise
-    order, so a value does not depend on the lines and abscissae around it."""
+    by each call once per abscissa and n and shared by every line of the
+    call.  glibc's cexp forms exp(x) cos y and exp(x) sin y, so the product
+    has the bits of np.exp(-s ln n).  Each row sums its own N - 1 terms in
+    numpy's pairwise order, so a value does not depend on the lines and
+    abscissae around it."""
     import numpy as np
 
     logn, rho = np.array(_LOGN), np.array(rhos)
@@ -187,48 +188,48 @@ def _reg_lines(rhos: list[float], t_top: float, want_deriv: bool = False):
     m = int(_n_trunc(np.array(t_top))) - 1
     n_pow_rho = np.array([[math.exp(-r * ln) for ln in _LOGN[:m]] for r in rhos], dtype=complex)
 
-    def kern(t):
+    def kern(t, lines):
         n_trunc = _n_trunc(t)
         ln_big = logn[n_trunc - 1]
-        cuts = [0, *(np.flatnonzero(np.diff(n_trunc)) + 1).tolist(), t.size]
-        # one n^-it table per run of equal N
-        runs = [(a, b, _n_pow_it(t[a:b], logn[: n_trunc[a] - 1])) for a, b in zip(cuts, cuts[1:])]
-
-        def at(lines):
-            s = rho[lines, None] + 1j * t
-            base, dbase = np.empty_like(s), np.empty_like(s)
-            for a, b, n_it in runs:
-                step = max(1, _TERMS // n_it.size)
-                for j in range(0, lines.size, step):
-                    n_pow_s = n_pow_rho[lines[j : j + step], None, : n_it.shape[1]] * n_it
-                    base[j : j + step, a:b] = n_pow_s.sum(axis=-1)
-                    if want_deriv:
-                        dbase[j : j + step, a:b] = -(n_pow_s * logn[: n_it.shape[1]]).sum(axis=-1)
-                    del n_pow_s  # so that the next block is the only one held
-            # corrections: sum_k B_2k/(2k)! * (s)_(2k-1) * N^(1-2k-s), k = 1..7
-            n_pow_ms = np.exp(-s * ln_big)  # N^-s
-            corr, dcorr = np.zeros_like(s), np.zeros_like(s)
-            poch, dpoch = s, 1.0  # (s)_(2k-1) and its derivative, grown two factors a round
-            npow = n_pow_ms / n_trunc  # N^(-s-1)
-            for k, coef in enumerate(_B_OVER_FACT):
-                if k:
-                    for f in (s + (2 * k - 1), s + 2 * k):
-                        if want_deriv:
-                            dpoch = dpoch * f + poch
-                        poch = poch * f
-                    npow = npow / (n_trunc * n_trunc)
-                corr += coef * poch * npow
+        s = rho[lines, None] + 1j * t
+        base = np.empty_like(s)
+        dbase = np.empty_like(s) if want_deriv else None
+        # one n^-it table per run of equal N, dropped after its run
+        cuts = np.flatnonzero(np.diff(n_trunc, prepend=0, append=0)).tolist()
+        for a, b in zip(cuts, cuts[1:]):
+            terms = n_trunc[a] - 1
+            n_it = _n_pow_it(t[a:b], logn[:terms])
+            step = max(1, _TERMS // n_it.size)
+            for j in range(0, lines.size, step):
+                n_pow_s = n_pow_rho[lines[j : j + step], None, :terms] * n_it
+                base[j : j + step, a:b] = n_pow_s.sum(axis=-1)
                 if want_deriv:
-                    dcorr += coef * npow * (dpoch - poch * ln_big)
-            inner = base + n_pow_ms / 2.0 + corr
-            n_pow_1ms = np.exp((1.0 - s) * ln_big)
-            reg = (s - 1.0) * inner + n_pow_1ms
-            if not want_deriv:
-                return s, reg, None
-            dinner = dbase - ln_big * n_pow_ms / 2.0 + dcorr
-            return s, reg, inner + (s - 1.0) * dinner - ln_big * n_pow_1ms
-
-        return at
+                    dbase[j : j + step, a:b] = -(n_pow_s * logn[:terms]).sum(axis=-1)
+                del n_pow_s  # so that the next block is the only one held
+            del n_it
+        # corrections: sum_k B_2k/(2k)! * (s)_(2k-1) * N^(1-2k-s), k = 1..7
+        n_pow_ms = np.exp(-s * ln_big)  # N^-s
+        corr = np.zeros_like(s)
+        dcorr = np.zeros_like(s) if want_deriv else None
+        poch, dpoch = s, 1.0  # (s)_(2k-1) and its derivative, grown two factors a round
+        npow = n_pow_ms / n_trunc  # N^(-s-1)
+        for k, coef in enumerate(_B_OVER_FACT):
+            if k:
+                for f in (s + (2 * k - 1), s + 2 * k):
+                    if want_deriv:
+                        dpoch = dpoch * f + poch
+                    poch = poch * f
+                npow = npow / (n_trunc * n_trunc)
+            corr += coef * poch * npow
+            if want_deriv:
+                dcorr += coef * npow * (dpoch - poch * ln_big)
+        inner = base + n_pow_ms / 2.0 + corr
+        n_pow_1ms = np.exp((1.0 - s) * ln_big)
+        reg = (s - 1.0) * inner + n_pow_1ms
+        if not want_deriv:
+            return s, reg, None
+        dinner = dbase - ln_big * n_pow_ms / 2.0 + dcorr
+        return s, reg, inner + (s - 1.0) * dinner - ln_big * n_pow_1ms
 
     return kern
 
@@ -243,8 +244,8 @@ def _kernel(s, want_deriv: bool):
     if z.imag != 0.0:
         import numpy as np
 
-        at = _reg_lines([z.real], abs(z.imag), want_deriv)(np.array([z.imag]))
-        _, reg, dreg = at(np.zeros(1, dtype=np.intp))
+        kern = _reg_lines([z.real], abs(z.imag), want_deriv)
+        _, reg, dreg = kern(np.array([z.imag]), np.zeros(1, dtype=np.intp))
         return z, complex(reg[0, 0]), dreg if dreg is None else complex(dreg[0, 0])
     reg, dreg = _reg_real(z.real, want_deriv)
     if not isinstance(s, complex):
@@ -410,14 +411,14 @@ def xi(s):
 
 def sieve_primes(limit: int):
     """The primes <= limit, ascending, as a numpy int64 array, by the
-    Eratosthenes sieve over the odd numbers.  The flag array costs about
-    limit/2 bytes; a request whose limit + 1 exceeds _SIEVE_BUDGET raises
-    instead of thrashing."""
+    Eratosthenes sieve over the odd numbers.  The flag array costs
+    (limit + 1) // 2 bytes; a request whose flags exceed _SIEVE_BUDGET
+    raises instead of thrashing."""
     if not hasattr(limit, "__index__") or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
-    if limit + 1 > _SIEVE_BUDGET:
+    if (limit + 1) // 2 > _SIEVE_BUDGET:
         raise DomainError(
-            f"sieve to {limit} needs ~{limit + 1} bytes, budget is {_SIEVE_BUDGET}"
+            f"sieve to {limit} needs ~{(limit + 1) // 2} bytes, budget is {_SIEVE_BUDGET}"
         )
     import numpy as np
 

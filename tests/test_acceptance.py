@@ -242,7 +242,7 @@ def test_criterion_8_infrastructure():
     # (pi/sqrt(alpha)) ln(sqrt(alpha) + beta), here with alpha = beta^2 = 1/4
     closed = math.pi / math.sqrt(0.25) * math.log(math.sqrt(0.25) + 0.5)
     (res,) = quad._integrate(
-        lambda t: lambda lines: (np.log(0.25 + t * t) / (0.25 + t * t))[None, :],
+        lambda t, lines: (np.log(0.25 + t * t) / (0.25 + t * t))[None, :],
         [0.0, 1e4], quad.QuadratureConfig(abs_tol=1e-10, max_depth=48),
     )
     numeric = res.value + _lorentz_tail(0.25, 0.5, 1.0, 1e4)

@@ -489,10 +489,10 @@ def test_taylor_k_max_ceiling(capsys):
 
 
 def test_taylor_sieve_budget_refusal(capsys):
-    # the budget counts limit + 1 bytes, as the full-flag sieve needed
+    # the budget counts the (limit + 1) // 2 bytes of the odd-only flags
     code, out, err = run(["taylor", "--prime-limit", "2000000000"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: sieve to 2000000000 needs ~2000000001 bytes, budget is 1073741824\n"
+    assert err == "error: sieve to 2000000000 needs ~1000000000 bytes, budget is 536870912\n"
 
 
 def test_parser_defaults_are_the_modules_defaults():

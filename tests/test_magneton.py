@@ -274,7 +274,7 @@ def _ln_abs_chi(rho: float, t: float) -> float:
 
 def _defect_by_integration(rho: float) -> float:
     cfg = quad.QuadratureConfig(abs_tol=1e-10)
-    f = lambda t: lambda lines: np.array(
+    f = lambda t, lines: np.array(
         [[_ln_abs_chi(rho, x) / (0.25 + x * x) for x in t.tolist()]]
     )
     (res,) = quad._integrate(f, [0.0, 50.0], cfg)

@@ -86,7 +86,7 @@ def test_config_validation(kwargs):
         quad.QuadratureConfig(**kwargs)
 
 
-# `quad._integrate` takes an integrand as `fv(t)(lines)`: the (lines, t)
+# `quad._integrate` takes an integrand as `fv(t, lines)`: the (lines, t)
 # array of values at the abscissae t; the one-line integrands below ignore
 # `lines` and return one row
 
@@ -95,22 +95,22 @@ def test_exact_on_polynomial():
     # tanh-sinh is not exact on polynomials, but it reaches the rounding
     # level, and the rounding term keeps the estimate above the error
     cfg = quad.QuadratureConfig(abs_tol=1e-12)
-    (res,) = quad._integrate(lambda t: lambda lines: t[None, :] ** 3, [0.0, 1.0], cfg)
+    (res,) = quad._integrate(lambda t, lines: t[None, :] ** 3, [0.0, 1.0], cfg)
     assert abs(res.value - 0.25) <= res.error_estimate < 1e-15
 
 
 def test_integrate_smooth():
     cfg = quad.QuadratureConfig(abs_tol=1e-12)
-    (res,) = quad._integrate(lambda t: lambda lines: np.cos(t)[None, :], [-1.0, 1.0], cfg)
+    (res,) = quad._integrate(lambda t, lines: np.cos(t)[None, :], [-1.0, 1.0], cfg)
     assert abs(res.value - 2.0 * math.sin(1.0)) < 1e-12
-    (res,) = quad._integrate(lambda t: lambda lines: np.exp(t)[None, :], [0.0, 1.0], cfg)
+    (res,) = quad._integrate(lambda t, lines: np.exp(t)[None, :], [0.0, 1.0], cfg)
     assert abs(res.value - (math.e - 1.0)) < 1e-12
     assert res.n_evals >= 5
 
 
 def test_depth_budget_raises():
     cfg = quad.QuadratureConfig(abs_tol=1e-14, max_depth=2)
-    kink = lambda t: lambda lines: np.sqrt(np.abs(t - 0.3))[None, :]
+    kink = lambda t, lines: np.sqrt(np.abs(t - 0.3))[None, :]
     with pytest.raises(ConvergenceError, match="depth"):
         quad._integrate(kink, [0.0, 1.0], cfg)
 
@@ -160,7 +160,7 @@ def _cusps(t):
 )
 def test_failure_messages(f, kwargs, want):
     with pytest.raises(ConvergenceError) as got:
-        quad._integrate(lambda t: lambda lines: f(t)[None, :], [0.0, 1.0], quad.QuadratureConfig(**kwargs))
+        quad._integrate(lambda t, lines: f(t)[None, :], [0.0, 1.0], quad.QuadratureConfig(**kwargs))
     assert str(got.value) == want
 
 
@@ -168,11 +168,11 @@ def test_failures_name_the_leftmost_panel():
     # panel [0, 1] closes; [1, 2] and [2, 3] hold a kink or a NaN each
     edges = [0.0, 1.0, 2.0, 3.0]
     cfg = quad.QuadratureConfig(abs_tol=1e-9, max_depth=3)
-    kinks = lambda t: lambda lines: (np.sqrt(np.abs(t - 1.5)) + np.sqrt(np.abs(t - 2.5)))[None, :]
+    kinks = lambda t, lines: (np.sqrt(np.abs(t - 1.5)) + np.sqrt(np.abs(t - 2.5)))[None, :]
     want = r"^panel \[1, 2\] not converged at depth limit 3: error \S+ > 3.33e-10$"
     with pytest.raises(ConvergenceError, match=want):
         quad._integrate(kinks, edges, cfg)
-    nans = lambda t: lambda lines: np.where(t > 1.5, math.nan, t)[None, :]
+    nans = lambda t, lines: np.where(t > 1.5, math.nan, t)[None, :]
     with pytest.raises(ConvergenceError, match=r"^non-finite integrand on panel \[1, 2\]$"):
         quad._integrate(nans, edges, cfg)
 
@@ -207,7 +207,7 @@ def test_lockstep_bisection_equals_each_bracket_alone():
     grid = np.linspace(0.0, 100.0, 401)
     signs = positive(grid)
     at = np.flatnonzero(signs[1:] != signs[:-1])
-    together = quad._bisect(grid[at], grid[at + 1], positive).tolist()
+    together = quad._bisect(grid[at], grid[at + 1], signs[at], positive).tolist()
     alone = []
     for lo, hi, sign in zip(grid[at].tolist(), grid[at + 1].tolist(), signs[at].tolist()):
         mid = 0.5 * (lo + hi)
@@ -220,6 +220,22 @@ def test_lockstep_bisection_equals_each_bracket_alone():
         alone.append(lo)
     assert len(together) == 29
     assert together == alone
+
+
+def test_zero_search_evaluates_each_abscissa_once(monkeypatch):
+    # the grid's signs serve as the brackets' left ends: no Z value is
+    # computed twice
+    seen = []
+    hardy_z = quad._hardy_z
+
+    def counted(t_max):
+        z = hardy_z(t_max)
+        return lambda t: seen.extend(t.tolist()) or z(t)
+
+    monkeypatch.setattr(quad, "_hardy_z", counted)
+    quad._zero_ordinates.cache_clear()
+    assert len(quad._zero_ordinates(50.0)) == 10
+    assert len(seen) == len(set(seen))
 
 
 def test_phi_numeric_t_max_on_first_zero():
@@ -256,7 +272,7 @@ def test_line_kernel_matches_scalar(rng, rho):
     if rho == 1.0:  # beside the pole
         t[:8] = 1e-12 + rng.uniform(-5e-13, 5e-13, 8)
     one = np.zeros(1, dtype=np.intp)
-    got = quad._zeta_lines([rho], 200.0)(t)(one)[0]
+    got = quad._zeta_lines([rho], 200.0)(t, one)[0]
     with mpmath.workdps(30):
         az = [abs(mpmath.zeta(mpmath.mpc(rho, x))) for x in t.tolist()]
         err = [abs(mpmath.log(a) - g) * min(1, a) for a, g in zip(az, got.tolist())]
@@ -266,7 +282,7 @@ def test_line_kernel_matches_scalar(rng, rho):
         # its rounding, so the modulus is good to an absolute error rather
         # than its log: 4.6e-15 measured over 40 points
         t = 14.134725 + rng.uniform(-1e-6, 1e-6, 40)
-        got = np.exp(quad._zeta_lines([rho], 200.0)(t)(one)[0])
+        got = np.exp(quad._zeta_lines([rho], 200.0)(t, one)[0])
         with mpmath.workdps(30):
             want = [abs(mpmath.zeta(mpmath.mpc(rho, x))) for x in t.tolist()]
         assert max(abs(float(w) - g) for w, g in zip(want, got.tolist())) <= 1e-14
@@ -277,7 +293,7 @@ def test_line_kernel_error_signals(monkeypatch):
     # zero at s = -2 and the first nontrivial one
     for rho, t, floor in ((-2.0, 0.0, 1e-10), (0.5, 14.134725141734693, 1e-12)):
         monkeypatch.setattr(quad, "_ZERO_FLOOR", floor)
-        got = quad._zeta_lines([rho], t + 1.0)(np.array([t, t + 1.0]))(np.zeros(1, dtype=np.intp))[0]
+        got = quad._zeta_lines([rho], t + 1.0)(np.array([t, t + 1.0]), np.zeros(1, dtype=np.intp))[0]
         assert got[0] == -math.inf and math.isfinite(got[1])
 
 
@@ -326,16 +342,46 @@ def test_lines_equal_each_line_alone(monkeypatch):
     assert quad.phi_numeric_lines(grid[::4]) == alone[::4]
 
 
-def test_lines_build_one_n_it_row_per_node(monkeypatch):
-    # the 81 grid lines at T = 50 evaluate 73,567 (line, node) pairs at
-    # 1,146 distinct nodes, and each node's n^-it row is built once
-    rows = []
-    build = specfun._n_pow_it
+# the 40 lines of the benchmark's table-sweep at seed 1
+SWEEP_LINES = (
+    -0.9, -0.8, -0.7, -0.55, -0.45, -0.3, -0.2, -0.1, 0.0, 0.1, 0.15, 0.25, 0.35, 0.5,
+    0.55, 0.65, 0.7, 0.85, 0.95, 1.0, 1.05, 1.2, 1.25, 1.4, 1.5, 1.6, 1.7, 1.75, 1.85,
+    2.0, 2.05, 2.15, 2.25, 2.35, 2.5, 2.55, 2.7, 2.75, 2.85, 3.0,
+)
+
+
+@pytest.mark.parametrize(
+    "lines,pairs,calls",
+    [(None, 73567, 94), (SWEEP_LINES, 36552, 66)],
+    ids=["grid", "sweep"],
+)
+def test_lines_build_one_n_it_row_per_node(monkeypatch, lines, pairs, calls):
+    # the lines at T = 50 evaluate their (line, node) pairs at 1,146
+    # distinct nodes, each node in one kernel call for every line open
+    # there, so each node's n^-it row is built once
+    rows, sizes = [], []
+    build, zeta_lines = specfun._n_pow_it, quad._zeta_lines
     quad._zero_ordinates(50.0)  # the zero search, which builds rows of its own, once
     monkeypatch.setattr(specfun, "_n_pow_it", lambda t, logn: rows.append(t.size) or build(t, logn))
-    got = quad.phi_numeric_lines(_grid())
-    assert sum(det.n_evals for det in got) == 73567
+
+    def counted(rhos, t_top):
+        log_abs = zeta_lines(rhos, t_top)
+        return lambda t, lines: sizes.append(t.size * lines.size) or log_abs(t, lines)
+
+    monkeypatch.setattr(quad, "_zeta_lines", counted)
+    got = quad.phi_numeric_lines(list(lines or _grid()))
+    assert sum(det.n_evals for det in got) == sum(sizes) == pairs
+    assert len(sizes) == calls
     assert sum(rows) == 1146
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
@@ -352,12 +398,15 @@ def test_lines_memory_peak(n, t_max):
     cfg = quad.QuadratureConfig(t_max=t_max)
     lines = [round(-1.0 + 4.0 * i / n, 3) for i in range(n)]
     quad.phi_numeric_lines(lines[:1], cfg)  # the zero ordinates and log table, once
-    tracemalloc.start()
-    try:
-        quad.phi_numeric_lines(lines, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: quad.phi_numeric_lines(lines, cfg))
+    assert peak < 2**20, peak
+
+
+def test_zero_search_memory_peak():
+    # Z hands its whole grid, 801 abscissae at T = 200, to the kernel in one
+    # call, which holds one n^-it table per run of equal N at a time
+    quad._zero_ordinates.cache_clear()
+    peak = _traced_peak(lambda: quad._zero_ordinates(200.0))
     assert peak < 2**20, peak
 
 
@@ -387,25 +436,41 @@ def test_lines_raise_the_first_failure_alone(monkeypatch, lines, depth):
 
 def test_failure_builds_no_unread_table(monkeypatch):
     # once a failure closes every line of a panel, the rest of its nodes
-    # get no n^-it table: every table built is evaluated
+    # get no kernel call: every call has a line still open
     monkeypatch.setattr(quad, "_MAX_NODES", 300)
-    built, read = [], set()
+    sizes = []
     zeta_lines = quad._zeta_lines
 
     def counted(rhos, t_top):
-        kern = zeta_lines(rhos, t_top)
-
-        def table(t):
-            at, key = kern(t), len(built)
-            built.append(key)
-            return lambda lines: read.add(key) or at(lines)
-
-        return table
+        log_abs = zeta_lines(rhos, t_top)
+        return lambda t, lines: sizes.append(lines.size) or log_abs(t, lines)
 
     monkeypatch.setattr(quad, "_zeta_lines", counted)
     with pytest.raises(ConvergenceError, match="above the cap 300"):
         quad.phi_numeric_lines([2.0, 0.5, 1.0, 0.2])
-    assert len(built) == len(read) == 50
+    assert len(sizes) == 50 and min(sizes) > 0
+
+
+@pytest.mark.parametrize("bad", [0, 1])
+def test_failure_closes_its_lines_mid_panel(bad):
+    # 300 lines take 3 nodes a call, so the 7 nodes of level 0 go in three
+    # calls.  Line `bad` is infinite right of t = 1/2, which the second call
+    # reaches; no later call holds it or a line after it
+    seen = []
+
+    def f(t, lines):
+        seen.append(lines.tolist())
+        out = np.ones((lines.size, t.size))
+        out[lines == bad] = np.where(t > 0.5, math.inf, 1.0)
+        return out
+
+    with pytest.raises(ConvergenceError, match="non-finite integrand on panel"):
+        quad._integrate(f, [0.0, 1.0], quad.QuadratureConfig(), 300)
+    assert seen[:2] == [list(range(300))] * 2
+    if bad:  # line 0 integrates on alone
+        assert seen[2:] and all(lines == [0] for lines in seen[2:])
+    else:
+        assert seen[2:] == []
 
 
 def test_lines_refuse_in_order():
@@ -424,7 +489,7 @@ def test_panel_cap(monkeypatch):
     want = r"open at depth \d+, above the cap 64: tolerance 1e-10"
     with pytest.raises(ConvergenceError, match=want):
         quad.phi_numeric(2.0, cfg)
-    cusps = lambda t: lambda lines: _cusps(t)[None, :]
+    cusps = lambda t, lines: _cusps(t)[None, :]
     with pytest.raises(ConvergenceError, match="above the cap 64"):
         quad._integrate(cusps, [0.0, 1.0], quad.QuadratureConfig(abs_tol=1e-30))
 
@@ -443,7 +508,7 @@ def test_phi_deterministic():
 
 def test_integrand_even_in_t():
     kern, cfg = quad._zeta_lines([0.8], 50.0), quad.QuadratureConfig()
-    g = lambda t: lambda lines: kern(t)(lines) / (0.25 + t * t)
+    g = lambda t, lines: kern(t, lines) / (0.25 + t * t)
     (full,) = quad._integrate(g, [-50.0, 50.0], cfg)
     (half,) = quad._integrate(g, [0.0, 50.0], cfg)
     assert abs(full.value - 2.0 * half.value) < 1e-8
@@ -495,7 +560,7 @@ def test_lorentz_dual_route(rng):
         alpha = rng.uniform(0.3, 2.0)
         beta = rng.uniform(0.1, 3.0)
         mu = rng.uniform(0.5, 2.0)
-        f = lambda t: lambda lines: (np.log(beta * beta + mu * t * t) / (alpha + t * t))[None, :]
+        f = lambda t, lines: (np.log(beta * beta + mu * t * t) / (alpha + t * t))[None, :]
         (res,) = quad._integrate(f, [0.0, 1e4], cfg)
         numeric = res.value + _lorentz_tail(alpha, beta, mu, 1e4)
         assert abs(numeric - _lorentz_closed(alpha, beta, mu)) < 1e-9

@@ -258,6 +258,15 @@ def test_sieve_capacity():
         specfun.sieve_primes(10**11)
 
 
+def test_sieve_budget_boundary(monkeypatch):
+    # the budget counts the (limit + 1) // 2 flag bytes: 50 of them take
+    # limit 100, and limit 101 needs 51
+    monkeypatch.setattr(specfun, "_SIEVE_BUDGET", 50)
+    assert len(specfun.sieve_primes(100)) == 25
+    with pytest.raises(DomainError, match=r"^sieve to 101 needs ~51 bytes, budget is 50$"):
+        specfun.sieve_primes(101)
+
+
 def test_exp_integral_refs():
     for z, ref in E1_REFS.items():
         assert specfun.exp_integral_e1(z) == pytest.approx(ref, rel=1e-13)
