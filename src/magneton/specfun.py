@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 
 from .errors import DomainError
@@ -54,6 +55,7 @@ _BERN = (
 _B_OVER_FACT = tuple(b / math.factorial(2 * (k + 1)) for k, b in enumerate(_BERN))
 # Stirling series coefficients B_2k / (2k * (2k - 1))
 _STIRLING = tuple(b / ((2 * (k + 1)) * (2 * (k + 1) - 1)) for k, b in enumerate(_BERN))
+_TWO_K = tuple(float(2 * (k + 1)) for k in range(len(_BERN)))  # digamma's B_2k / (2k y^2k)
 _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _MAX_N = max(30, math.ceil(1.3 * IM_WINDOW)) + 1
@@ -147,7 +149,7 @@ def _reg_real(x: float, want_deriv: bool):
     dcorr = (b1 * a1 * (1.0 - p1 * ln) + b2 * a2 * (d2 - p2 * ln) + b3 * a3 * (d3 - p3 * ln)
              + b4 * a4 * (d4 - p4 * ln) + b5 * a5 * (d5 - p5 * ln) + b6 * a6 * (d6 - p6 * ln)
              + b7 * a7 * (d7 - p7 * ln))
-    dinner = -_sum29([v * p for v, p in zip(_LOGN, pw)]) - ln * n_pow_ms / 2.0 + dcorr
+    dinner = -_sum29(list(map(operator.mul, _LOGN29, pw))) - ln * n_pow_ms / 2.0 + dcorr
     return reg, inner + (x - 1.0) * dinner - ln * n_pow_1ms
 
 
@@ -343,8 +345,8 @@ def digamma(x: float) -> float:
     out = math.log(y) - 0.5 / y
     ypow = y * y
     y2 = y * y
-    for k, b in enumerate(_BERN):
-        out -= b / ((2 * (k + 1)) * ypow)
+    for b, two_k in zip(_BERN, _TWO_K):
+        out -= b / (two_k * ypow)
         ypow *= y2
     return out + acc
 

@@ -13,8 +13,10 @@ explosively with the order, which is the quantitative statement that
 high coefficients cannot be trusted from primes alone.  A high-precision
 reference route provides the same coefficients without primes, for
 cross-checks: one Euler-Maclaurin pass over power series in s - 3/2 gives
-every zeta^(k)(3/2)/k! at once, to within a stated bound, at 50 digits
-(see _DPS for why that many).
+every zeta^(k)(3/2)/k! at once, and one more at 3/4 + 30 gives ln Gamma,
+psi and the Hurwitz zeta values of the gamma factor, each to within a
+stated bound.  It runs on the standard library's decimal at 50 decimal
+digits (see _DPS for why that many) and needs no mpmath.
 
 Evaluating the series rearranged at x = 1 recovers ln|xi(1)| = 0 through
 a near-total cancellation, and its slope estimates the first Li/Keiper
@@ -32,11 +34,13 @@ from . import specfun
 from .errors import ConvergenceError, DomainError
 
 _LN_PI = specfun.LN_PI
-# Working precision of the exact route.  C_20 comes out near -3.6e-7 as the
-# difference of 20! g_20 and its rational part, both near 1.3e23, and the
-# value at one cancels O(1) terms again down to 3e-32: at 40 digits the
-# order-20 value kept 10 correct digits, at 50 it keeps 19.
+# Working precision of the exact route, in decimal digits.  C_20 comes out
+# near -3.6e-7 as the difference of 20! g_20 and its rational part, both
+# near 1.3e23, and the value at one cancels O(1) terms again down to 3e-32:
+# at 40 digits the order-20 value kept 10 correct digits, at 50 it keeps 19.
 _DPS = 50
+# pi to 80 decimals, past any precision the exact route or its tests use
+_PI = "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899"
 DEFAULT_PRIME_LIMIT = 10**6
 DEFAULT_K_MAX = 60
 _K_GUARD = 8  # extra prime-power blocks measured for the cutoff bound
@@ -255,20 +259,68 @@ def _em_terms(digits: int) -> int:
 _EM_TERMS = _em_terms(_DPS)  # 30 at 50 digits: every f_k within 3.9e-54
 
 
-def _zeta_taylor(order: int, mp, terms: int) -> list:
+def _gamma_log_bound(s: int, terms: int) -> float:
+    """ln of a bound on the error of value s of _gamma_values(order, terms):
+    ln Gamma(3/4) for s = 0, psi(3/4) for s = 1, zeta(s, 3/4) from s = 2 on.
+
+    Each is the finite sum over n < N plus an Euler-Maclaurin expansion at
+    X = 3/4 + N for f(x) = ln x (Stirling's series, s = 0) or f(x) = x^-s
+    (the digamma series is the s -> 1 limit of the Hurwitz one), cut after
+    M Bernoulli terms.  As in _em_log_bound the remainder is the integral
+    over x > X of (P(x) - B_(2M+2))/(2M+2)! f^(2M+2)(x), and f^(2M+2) keeps
+    one sign there, so with N = M = terms
+
+        |R| <= 2|B_(2M+2)|/(2M+2)! |f^(2M+1)(X)|
+            <= 4 zeta(4)/(2 pi)^(2M+2) (s+2M)!/(max(s, 1)-1)! X^(-s-2M-1)."""
+    m2 = 2 * terms
+    return (
+        math.log(4.0 * math.pi**4 / 90.0)
+        - (m2 + 2) * math.log(2.0 * math.pi)
+        + math.lgamma(s + m2 + 1)
+        - math.lgamma(max(s, 1))
+        - (s + m2 + 1) * math.log(terms + 0.75)
+    )
+
+
+def _bernoulli(terms: int) -> list:
+    """B_2j/(2j)! for j = 1..terms as exact integer pairs (numerator,
+    denominator): with the tangent numbers T_j = 1, 2, 16, 272, ...,
+
+        B_2j/(2j)! = (-1)^(j-1) T_j / ((2j-1)! 4^j (4^j - 1))."""
+    t = [0, 1]  # T_j by the in-place recurrence of Brent and Zimmermann
+    for k in range(2, terms + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, terms + 1):
+        for j in range(k, terms + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [
+        ((-1) ** (j - 1) * t[j], math.factorial(2 * j - 1) * 4**j * (4**j - 1))
+        for j in range(1, terms + 1)
+    ]
+
+
+def _zeta_taylor(order: int, terms: int) -> list:
     """f_k = zeta^(k)(3/2)/k! for k = 0..order, in one Euler-Maclaurin pass
     over power series in h = s - 3/2 truncated after h^order:
 
         zeta(s) = sum_(n<N) n^-s + N^-s Q(h),
         Q(h) = N/(1/2 + h) + 1/2 + sum_(j<=M) B_2j/(2j)! (s)_(2j-1) N^(1-2j),
 
-    with N = M = terms and (s)_m = s(s+1)...(s+m-1).  Beside rounding, every
-    f_k is within exp(_em_log_bound(terms)) of the truth."""
-    half = mp.mpf(1) / 2
-    inv_fact = [1 / mp.factorial(k) for k in range(order + 1)]
+    with N = M = terms and (s)_m = s(s+1)...(s+m-1), as Decimals at the
+    precision of the current decimal context.  Beside rounding, every f_k
+    is within exp(_em_log_bound(terms)) of the truth."""
+    from decimal import Decimal  # see compute_coefficients_exact
+
+    # ln n: Decimal.ln on the primes, a composite as the sum of the logs of
+    # its least factor and its cofactor
+    ln = [None, Decimal(0)]
+    for n in range(2, terms + 1):
+        p = next((p for p in range(2, math.isqrt(n) + 1) if n % p == 0), n)
+        ln.append(Decimal(n).ln() if p == n else ln[p] + ln[n // p])
+    inv_fact = [1 / Decimal(math.factorial(k)) for k in range(order + 1)]
 
     def powers(n):  # k! [h^k] n^-s = n^-3/2 (-ln n)^k
-        t, step = mp.mpf(n) ** (-3 * half), -mp.log(n)
+        t, step = 1 / (n * Decimal(n).sqrt()), -ln[n]
         out = [t]
         for _ in range(order):
             t *= step
@@ -280,86 +332,122 @@ def _zeta_taylor(order: int, mp, terms: int) -> list:
             p[k] = p[k] * a + p[k - 1]
         p[0] *= a
 
-    partial = [mp.mpf(0)] * (order + 1)
+    partial = [Decimal(0)] * (order + 1)
     for n in range(1, terms):
         for k, t in enumerate(powers(n)):
             partial[k] += t
-    q = [mp.mpf(2 * terms * (-2) ** k) for k in range(order + 1)]
-    q[0] += half
-    rising = [mp.mpf(1)] + [mp.mpf(0)] * order
-    inv_n2 = mp.mpf(terms) ** -2
-    scale = terms * inv_n2  # N^(1-2j)
-    for j in range(1, terms + 1):
-        times_linear(rising, 2 * j - half)  # now (s)_(2j-1)
-        b = mp.bernoulli(2 * j) / mp.factorial(2 * j) * scale
+    q = [Decimal(2 * terms * (-2) ** k) for k in range(order + 1)]
+    q[0] += Decimal("0.5")
+    rising = [Decimal(1)] + [Decimal(0)] * order
+    for j, (num, den) in enumerate(_bernoulli(terms), 1):
+        times_linear(rising, Decimal(4 * j - 1) / 2)  # now (s)_(2j-1)
+        b = Decimal(num) / (den * terms ** (2 * j - 1))  # times N^(1-2j)
         for k in range(order + 1):
             q[k] += b * rising[k]
-        times_linear(rising, 2 * j + half)
-        scale *= inv_n2
+        times_linear(rising, Decimal(4 * j + 1) / 2)
     e = [t * c for t, c in zip(powers(terms), inv_fact)]
     return [
-        partial[k] * inv_fact[k] + mp.fsum(e[i] * q[k - i] for i in range(k + 1))
+        partial[k] * inv_fact[k] + sum(e[i] * q[k - i] for i in range(k + 1))
         for k in range(order + 1)
     ]
 
 
-def _coefficients_mp(f, mp):
-    """C_0..C_order as mp numbers at the caller's working precision, from
-    f_k = zeta^(k)(3/2)/k! for k = 0..order."""
-    order = len(f) - 1
-    # series coefficients g of ln(sum f_k u^k): n g_n = n f_n/f_0 - sum j g_j f_(n-j)/f_0
-    g = [mp.log(f[0])]
+def _gamma_values(order: int, terms: int) -> list:
+    """[ln Gamma(3/4), psi(3/4), zeta(2, 3/4), ..., zeta(order, 3/4)] from
+    one Euler-Maclaurin pass at X = 3/4 + N:
+
+        ln Gamma(3/4) = (X - 1/2) ln X - X + ln(2 pi)/2 + E_0 - ln P,
+        psi(3/4) = ln X - 1/(2X) - E_1 - S_1,
+        zeta(s, 3/4) = S_s + X^(1-s)/(s-1) + X^-s/2 + E_s,
+
+    with P = prod_(n<N) (n + 3/4), S_s = sum_(n<N) (n + 3/4)^-s and
+    E_s = sum_(j<=M) B_2j/(2j)! (s+2j-2)!/(max(s, 1)-1)! X^(1-s-2j), N = M =
+    terms, as Decimals at the precision of the current decimal context.
+    Beside rounding, value s is within exp(_gamma_log_bound(s, terms)) of
+    the truth."""
+    from decimal import Decimal  # see compute_coefficients_exact
+
+    x = Decimal(4 * terms + 3) / 4  # exact
+    x_pow = [Decimal(1), 1 / x]  # X^-i
+    for _ in range(order + 2 * terms - 1):
+        x_pow.append(x_pow[-1] * x_pow[1])
+    bern = _bernoulli(terms)
+    e = []
+    for s in range(order + 1):
+        r, acc = max(s, 1), Decimal(0)  # r = (s+2j-2)!/(max(s, 1)-1)! at j = 1
+        for j, (num, den) in enumerate(bern, 1):
+            acc += Decimal(num * r) / den * x_pow[s + 2 * j - 1]
+            r *= (s + 2 * j - 1) * (s + 2 * j)
+        e.append(acc)
+    sums = [Decimal(0)] * (order + 1)
+    for n in range(terms):
+        u = Decimal(4) / (4 * n + 3)  # 1/(n + 3/4)
+        p = u
+        for s in range(1, order + 1):
+            sums[s] += p
+            p *= u
+    ln_x = x.ln()
+    ln_p = (Decimal(math.prod(range(3, 4 * terms, 4))) / 4**terms).ln()
+    out = [(x - Decimal("0.5")) * ln_x - x + (2 * Decimal(_PI)).ln() / 2 + e[0] - ln_p]
+    if order >= 1:
+        out.append(ln_x - x_pow[1] / 2 - e[1] - sums[1])
+    for s in range(2, order + 1):
+        out.append(sums[s] + x_pow[s - 1] / (s - 1) + x_pow[s] / 2 + e[s])
+    return out
+
+
+def _coefficients(order: int) -> list:
+    """C_0..C_order as Decimals at the precision of the current decimal
+    context, from f_k = zeta^(k)(3/2)/k! of _zeta_taylor and the values g
+    of _gamma_values."""
+    from decimal import Decimal  # see compute_coefficients_exact
+
+    f = _zeta_taylor(order, _EM_TERMS)
+    g = _gamma_values(order, _EM_TERMS)
+    # series coefficients G of ln(sum f_k u^k): n G_n = n f_n/f_0 - sum j G_j f_(n-j)/f_0
+    big_g = [f[0].ln()]
     for n in range(1, order + 1):
         acc = n * f[n] / f[0]
         for j in range(1, n):
-            acc -= j * g[j] * f[n - j] / f[0]
-        g.append(acc / n)
-    three_quarters = mp.mpf(3) / 4
-    out = []
-    for n in range(order + 1):
-        if n == 0:
-            val = (
-                mp.log(mp.mpf(3) / 2)
-                + mp.log(mp.mpf(1) / 2)
-                + mp.loggamma(three_quarters)
-                - three_quarters * mp.log(mp.pi)
-                + g[0]
-            )
-        else:
-            sign = 1 if n % 2 == 1 else -1
-            val = (
-                mp.factorial(n) * g[n]
-                + sign * mp.factorial(n - 1) * (mp.mpf(2) ** n + (mp.mpf(2) / 3) ** n)
-                + mp.polygamma(n - 1, three_quarters) / mp.mpf(2) ** n
-            )
-            if n == 1:
-                val -= mp.log(mp.pi) / 2
+            acc -= j * big_g[j] * f[n - j] / f[0]
+        big_g.append(acc / n)
+    ln_pi = Decimal(_PI).ln()
+    three_quarters = Decimal("0.75")
+    # ln(3/2) + ln(1/2) = ln(3/4)
+    out = [three_quarters.ln() + g[0] - three_quarters * ln_pi + big_g[0]]
+    for n in range(1, order + 1):
+        # the n-th derivative of ln Gamma(x/2) at 3/2 is psi^(n-1)(3/4)/2^n,
+        # and psi^(m)(x) = (-1)^(m+1) m! zeta(m+1, x) for m >= 1
+        gamma_part = g[1] if n == 1 else (-1) ** n * math.factorial(n - 1) * g[n]
+        # (-1)^(n-1) (n-1)! (2^n + (2/3)^n), from ln x + ln(x - 1)
+        rational = Decimal((-1) ** (n - 1) * math.factorial(n - 1) * 2**n * (3**n + 1)) / 3**n
+        val = math.factorial(n) * big_g[n] + rational + gamma_part / 2**n
+        if n == 1:
+            val -= ln_pi / 2
         out.append(val)
     return out
 
 
 def compute_coefficients_exact(order: int) -> tuple:
-    """Reference route: C_0..C_order from the zeta derivatives of
-    _zeta_taylor at _DPS digits (no primes).  Used as the cross-check
-    oracle for the prime route and for the deep-cancellation sums the
-    prime route cannot support."""
+    """Reference route: C_0..C_order from _coefficients at _DPS digits (no
+    primes).  Used as the cross-check oracle for the prime route and for
+    the deep-cancellation sums the prime route cannot support."""
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order!r}")
-    # mpmath is imported here and handed to the helpers as `mp`, so that it
-    # loads after the prime sums: its 3.7 MB loaded first would stack on the
-    # sieve's arrays, and the peak RSS of `taylor --order 20 --prime-limit
-    # 9999944` would go from 43.6 to 47.3 MB (in-process ru_maxrss)
-    import mpmath as mp
+    # decimal is imported in the functions of this route, so that it loads
+    # after the prime sums: loaded first it would add 0.4 MB to the peak RSS
+    # of `taylor --order 20 --prime-limit 9999944`
+    from decimal import Context, localcontext
 
-    with mp.workdps(_DPS):
-        c = _coefficients_mp(_zeta_taylor(order, mp, _EM_TERMS), mp)
-        return tuple(float(v) for v in c)
+    with localcontext(Context(prec=_DPS)):
+        return tuple(float(v) for v in _coefficients(order))
 
 
 def _rearranged(c, k: int, half, fsum, factorial) -> Rearranged:
     """Partial sums through c[k] of the series pushed from 3/2 to 1 (step
     `half` = -1/2): value, first and second derivative of ln|xi| at 1.
-    Each is summed exactly in fixed order by `fsum`."""
+    Each is summed in fixed order by `fsum`: exactly by math.fsum for
+    floats, at the context's precision by sum for Decimals."""
     value = fsum(c[n] * half**n / factorial(n) for n in range(k + 1))
     slope = fsum(c[n] * half ** (n - 1) / factorial(n - 1) for n in range(1, k + 1))
     curvature = fsum(
@@ -384,9 +472,8 @@ def rearranged_at_one_exact(order: int) -> Rearranged:
     few 1e-18); this route exists for exactly that quantity."""
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order!r}")
-    import mpmath as mp  # here for the reason compute_coefficients_exact gives
+    from decimal import Context, Decimal, localcontext  # see compute_coefficients_exact
 
-    with mp.workdps(_DPS):
-        c = _coefficients_mp(_zeta_taylor(order, mp, _EM_TERMS), mp)
-        r = _rearranged(c, order, -mp.mpf(1) / 2, mp.fsum, mp.factorial)
+    with localcontext(Context(prec=_DPS)):
+        r = _rearranged(_coefficients(order), order, Decimal("-0.5"), sum, math.factorial)
         return Rearranged._make(float(v) for v in r)

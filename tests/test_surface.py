@@ -1,7 +1,8 @@
 """The public surface of the package: README's Library block runs and
 prints what its comments say, every public function has a caller in the
-package or a line in that block, and numpy and mpmath are imported only
-where the import rule below allows."""
+package or a line in that block, numpy and decimal are imported only
+where the import rule below allows, and the third-party imports are the
+declared runtime dependencies."""
 
 import ast
 import math
@@ -10,6 +11,8 @@ import re
 import subprocess
 import sys
 from collections import Counter
+
+import pytest
 
 from magneton import magneton, quad
 
@@ -101,8 +104,8 @@ def _imports() -> set[tuple[str, str | None, str]]:
 def test_import_rule():
     # numpy loads with quad and taylor, which only the table and taylor
     # commands import, so figure and constants never load it; specfun's
-    # sieve and complex kernels import it when first called.  mpmath loads
-    # after the prime sums, which keeps it off taylor's RSS peak.
+    # sieve and complex kernels import it when first called.  mpmath is a
+    # test and benchmark dependency only: the exact route runs on decimal.
     imports = _imports()
 
     def sites(name: str) -> set:
@@ -110,14 +113,34 @@ def test_import_rule():
 
     assert {mod for mod, where in sites("numpy") if where is None} == {"quad", "taylor"}
     assert {mod for mod, where in sites("numpy") if where is not None} == {"specfun"}
-    assert sites("mpmath") == {
-        ("taylor", "compute_coefficients_exact"), ("taylor", "rearranged_at_one_exact")
-    }
+    assert sites("mpmath") == set()
+    # decimal loads inside the exact route, after the prime sums
+    assert {mod for mod, where in sites("decimal")} == {"taylor"}
+    assert ("taylor", None) not in sites("decimal")
     assert sites("quad") | sites("taylor") == {("cli", "cmd_table"), ("cli", "cmd_taylor")}
 
 
-def test_prime_route_leaves_mpmath_unloaded():
-    code = "import sys\nfrom magneton import taylor\ntaylor.compute_coefficients(20, 10**6)\nprint('mpmath' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+def test_third_party_imports_are_the_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    absolute = set()
+    for path in (ROOT / "src" / "magneton").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                absolute |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                absolute.add(node.module.split(".")[0])
+    third_party = absolute - set(sys.stdlib_module_names) - {"magneton"}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in project["dependencies"]}
+    assert third_party == declared == {"numpy"}
+
+
+def test_taylor_command_loads_no_mpmath():
+    code = (
+        "import sys\nfrom magneton import cli\n"
+        "cli.main(['taylor', '--order', '20', '--prime-limit', '1000000'])\n"
+        "print('mpmath' in sys.modules, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.split()[-2:] == ["False", "False"]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from decimal import Context, localcontext
 
 import mpmath as mp
 import numpy as np
@@ -222,17 +224,73 @@ def zeta_oracle():
         return [mp.zeta(mp.mpf(3) / 2, derivative=k) / mp.factorial(k) for k in range(21)]
 
 
+def _coefficients_oracle(f):
+    """C_0..C_order from f_k = zeta^(k)(3/2)/k!, assembled with mpmath's
+    log, loggamma and polygamma at the caller's working precision."""
+    order = len(f) - 1
+    # series coefficients g of ln(sum f_k u^k): n g_n = n f_n/f_0 - sum j g_j f_(n-j)/f_0
+    g = [mp.log(f[0])]
+    for n in range(1, order + 1):
+        acc = n * f[n] / f[0]
+        for j in range(1, n):
+            acc -= j * g[j] * f[n - j] / f[0]
+        g.append(acc / n)
+    three_quarters = mp.mpf(3) / 4
+    out = []
+    for n in range(order + 1):
+        if n == 0:
+            val = (
+                mp.log(mp.mpf(3) / 2)
+                + mp.log(mp.mpf(1) / 2)
+                + mp.loggamma(three_quarters)
+                - three_quarters * mp.log(mp.pi)
+                + g[0]
+            )
+        else:
+            sign = 1 if n % 2 == 1 else -1
+            val = (
+                mp.factorial(n) * g[n]
+                + sign * mp.factorial(n - 1) * (mp.mpf(2) ** n + (mp.mpf(2) / 3) ** n)
+                + mp.polygamma(n - 1, three_quarters) / mp.mpf(2) ** n
+            )
+            if n == 1:
+                val -= mp.log(mp.pi) / 2
+        out.append(val)
+    return out
+
+
 def test_zeta_series_within_its_bound(zeta_oracle):
     # at 70 digits the rounding (about 1e-64) is far below the bound, so
     # what is left is the Euler-Maclaurin truncation the bound covers
     bound = math.exp(taylor._em_log_bound(taylor._EM_TERMS))
     assert bound < 10.0 ** -(taylor._DPS + 2)
-    with mp.workdps(70):
+    with localcontext(Context(prec=70)), mp.workdps(80):
         for order in range(21):
-            f = taylor._zeta_taylor(order, mp, taylor._EM_TERMS)
+            f = taylor._zeta_taylor(order, taylor._EM_TERMS)
             assert len(f) == order + 1
             for k, (got, want) in enumerate(zip(f, zeta_oracle)):
-                assert abs(got - want) <= bound, (order, k)
+                assert abs(mp.mpf(str(got)) - want) <= bound, (order, k)
+
+
+def test_gamma_series_within_its_bound():
+    # ln Gamma(3/4), psi(3/4) and zeta(s, 3/4) for s = 2..20 from the pass
+    # at 75 digits, where rounding (about 1e-70 at zeta(20, 3/4) ~ 316)
+    # stays far below each value's truncation bound
+    with localcontext(Context(prec=75)):
+        values = taylor._gamma_values(20, taylor._EM_TERMS)
+    assert len(values) == 21
+    with mp.workdps(80):
+        a = mp.mpf(3) / 4
+        want = [mp.loggamma(a), mp.digamma(a)] + [mp.zeta(s, a) for s in range(2, 21)]
+        for s, (got, w) in enumerate(zip(values, want)):
+            log_bound = taylor._gamma_log_bound(s, taylor._EM_TERMS)
+            assert log_bound < -(taylor._DPS + 2) * math.log(10.0), s
+            assert abs(mp.mpf(str(got)) - w) <= math.exp(log_bound), s
+
+
+def test_pi_literal():
+    with mp.workdps(100):
+        assert abs(mp.mpf(taylor._PI) - mp.pi) < mp.mpf(10) ** -80
 
 
 @pytest.mark.parametrize("order", range(21))
@@ -240,19 +298,22 @@ def test_rearranged_exact_matches_zeta_oracle(zeta_oracle, order):
     # the reference column of every order against the same sums built on
     # mpmath's zeta derivatives at 80 digits; 40 digits missed at order 20
     with mp.workdps(80):
-        c = taylor._coefficients_mp(zeta_oracle[: order + 1], mp)
+        c = _coefficients_oracle(zeta_oracle[: order + 1])
         want = taylor._rearranged(c, order, -mp.mpf(1) / 2, mp.fsum, mp.factorial)
     got = taylor.rearranged_at_one_exact(order)
     for g, w in zip(got, want):
         assert g == pytest.approx(float(w), rel=1e-13, abs=0.0)
 
 
-def test_exact_route_calls_no_zeta(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("mp.zeta called")
-
-    monkeypatch.setattr(mp, "zeta", refuse)
-    assert taylor.compute_coefficients_exact(20)[:14] == pytest.approx(C_EXACT, rel=1e-11)
+def test_exact_route_bits_pinned():
+    # every float of both exact entry points at orders 0..20; each is the
+    # 80-digit mpmath oracle of the test above rounded once to double
+    rows = [
+        (taylor.compute_coefficients_exact(n), tuple(taylor.rearranged_at_one_exact(n)))
+        for n in range(21)
+    ]
+    digest = hashlib.sha256(repr(rows).encode("utf-8")).hexdigest()
+    assert digest == "7a5007594d32db74be04269f2f24f90ecb4e12f5b901020fba72d73180db2397"
 
 
 def test_rearranged_validation(exact13):
