@@ -35,7 +35,11 @@ LN_PI = math.log(math.pi)
 IM_WINDOW = 200.0
 RE_MIN = -3.0
 RE_MAX = 1e20  # zeta is exactly 1.0 long before
-_SIEVE_BUDGET = 2**29  # bytes of sieve flags one request may allocate
+# Limit of sieve_primes, in flags of one byte per odd number: 2^29 flags
+# take the primes up to 2^30.  The sieve holds one segment and the primes,
+# about 16/ln(limit) of the budget in int64 values (0.77 of it at 2^30).
+_SIEVE_BUDGET = 2**29
+_SIEVE_SEGMENT = 1 << 19  # flags per segment of sieve_primes, 512 kB
 # log_gamma shifts one unit at a time up to Re >= 9: about 2 ms from here on
 # a 2-vCPU Xeon, linear in |Re s|, and past 2^53 a unit step no longer moves
 # the argument at all.  No caller in the package goes below Re s = -1/2.
@@ -412,10 +416,14 @@ def xi(s):
 
 
 def sieve_primes(limit: int):
-    """The primes <= limit, ascending, as a numpy int64 array, by the
-    Eratosthenes sieve over the odd numbers.  The flag array costs
-    (limit + 1) // 2 bytes; a request whose flags exceed _SIEVE_BUDGET
-    raises instead of thrashing."""
+    """The primes <= limit, ascending, as a numpy int64 array, by a
+    segmented Eratosthenes sieve over the odd numbers (Bays and Hudson,
+    BIT 17, 1977): the odd primes up to sqrt(limit) first, then one
+    segment of _SIEVE_SEGMENT flags at a time.  Each segment's primes go
+    into one array preallocated at Dusart's bound pi(x) <= x/ln x
+    (1 + 1.2762/ln x) for x > 1 (Math. Comp. 68, 1999), which is shrunk to
+    the count at the end.  A request whose (limit + 1) // 2 odd-number
+    flags exceed _SIEVE_BUDGET raises instead of thrashing."""
     if not hasattr(limit, "__index__") or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if (limit + 1) // 2 > _SIEVE_BUDGET:
@@ -425,15 +433,33 @@ def sieve_primes(limit: int):
     import numpy as np
 
     limit = int(limit)
-    # flag i stands for 2i + 1, except flag 0, which stands for 2
-    flags = np.ones((limit + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if flags[i]:
-            flags[2 * i * (i + 1) :: 2 * i + 1] = False  # (2i + 1)^2 on
-    primes = np.flatnonzero(flags)
-    primes *= 2
-    primes += 1
+    size = (limit + 1) // 2  # flag i stands for 2i + 1, except flag 0, which stands for 2
+    root = math.isqrt(limit)
+    base = np.ones((root + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(root) + 1) // 2):
+        if base[i]:
+            base[2 * i * (i + 1) :: 2 * i + 1] = False  # (2i + 1)^2 on
+    odd = (2 * np.flatnonzero(base[1:]) + 3).tolist()  # odd primes <= sqrt(limit)
+    ln_x = math.log(limit)
+    primes = np.empty(int(limit / ln_x * (1.0 + 1.2762 / ln_x)), dtype=np.int64)
+    count = 0
+    segment = np.empty(min(size, _SIEVE_SEGMENT), dtype=bool)
+    for lo in range(0, size, _SIEVE_SEGMENT):
+        flags = segment[: size - lo]
+        flags[:] = True
+        for p in odd:
+            start = p * p // 2 - lo  # the flag of p^2
+            if start >= len(flags):
+                break
+            flags[max(start, start % p) :: p] = False  # p^2 on, or p's first multiple here
+        found = np.flatnonzero(flags)
+        found *= 2
+        found += 2 * lo + 1
+        primes[count : count + len(found)] = found
+        count += len(found)
+        del found  # freed before the next segment's is made
     primes[0] = 2
+    primes.resize(count, refcheck=False)  # no view of primes is alive
     return primes
 
 

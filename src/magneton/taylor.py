@@ -88,14 +88,16 @@ def _analytic_part(n: int) -> float:
     return math.fsum((rational, gamma_part, pi_part))
 
 
-def _prime_sums(lp, q, order: int, k_top: int):
+def _prime_sums(lp, order: int, k_top: int):
     """S[n, k] = sum_p lp^n q^k for 0 <= n <= order, 1 <= k <= k_top.
 
-    lp holds ln p and q = p^(-3/2) for increasing primes; column k = 0 is 0.
-    Every entry has the bits of `(q**k * lp**n).sum()` built as repeated
-    products over the whole array, but each (k, n) pass runs on a block of
-    at most _LEAF primes that stays in cache, and only where it can change
-    a bit of the result.
+    lp holds ln p for increasing primes and q = p^(-3/2) is
+    np.exp(-1.5 * lp); column k = 0 is 0.  Every entry has the bits of
+    `(q**k * lp**n).sum()` built as repeated products over the whole
+    arrays, but each (k, n) pass runs on a block of at most _LEAF primes
+    that stays in cache, and only where it can change a bit of the result.
+    q is formed per block: numpy's float64 exp is elementwise, so a block
+    of it, or one element, has the bits of the whole-array q.
 
     numpy sums a contiguous float64 array by a fixed pairwise tree: a node
     of more than 128 elements is halved, the split rounded down to a
@@ -116,48 +118,56 @@ def _prime_sums(lp, q, order: int, k_top: int):
     """
     need = np.ones((order + 1, k_top + 1), dtype=bool)
     need[:, 0] = False
-    return _node_sums(lp, q, need)
+    return _node_sums(lp, need)
 
 
-def _node_sums(lp, q, need):
+def _node_sums(lp, need):
     """_prime_sums on one node of the pairwise tree; only the entries where
     `need` is set are exact, the others are left unsummed."""
-    size = len(q)
+    size = len(lp)
     if size <= _LEAF:
-        return _leaf_sums(lp, q, need)
+        return _leaf_sums(lp, need)
     half = size // 2
     half -= half % 8
-    S = _node_sums(lp[:half], q[:half], need)
+    S = _node_sums(lp[:half], need)
+    q_half = np.exp(-1.5 * lp[half : half + 1])[0]
     n, k = np.indices(need.shape)
-    log_bound = math.log(2 * (size - half)) + k * math.log(q[half]) + n * math.log(lp[-1])
+    log_bound = math.log(2 * (size - half)) + k * math.log(q_half) + n * math.log(lp[-1])
     need = need & (log_bound >= np.log(np.spacing(S)) - math.log(4.0))
     if need.any():
-        np.add(S, _node_sums(lp[half:], q[half:], need), out=S, where=need)
+        np.add(S, _node_sums(lp[half:], need), out=S, where=need)
     return S
 
 
-def _leaf_sums(lp, q, need):
+def _leaf_sums(lp, need):
     """The (k, n) passes of one cache-resident block, for the needed entries."""
     S = np.zeros(need.shape)
     live_k = np.flatnonzero(need.any(axis=0))
-    if not len(q) or not len(live_k):
+    if not len(lp) or not len(live_k):
         return S
+    q = np.exp(-1.5 * lp)
     qk = np.ones_like(q)
     w = np.empty_like(q)
+    z = len(q)  # q^k is 0.0 from index z on
     for k in range(1, live_k[-1] + 1):
-        np.multiply(qk, q, out=qk)
+        np.multiply(qk[:z], q[:z], out=qk[:z])
         # q decreases along the block and rounding is monotone, so q^k is
         # largest at the block's first prime: once that is 0.0 the block
-        # adds exactly 0.0 to this and every later k.
+        # adds exactly 0.0 to this and every later k.  Short of that, the
+        # zeros form a suffix, which the products skip; the sum still runs
+        # over the whole block, to keep numpy's pairwise tree.
         if qk[0] == 0.0:
             break
+        if qk[z - 1] == 0.0:
+            z = np.count_nonzero(qk[:z])
+            w[z:] = 0.0
         live_n = np.flatnonzero(need[:, k])
         if not len(live_n):
             continue
-        w[:] = qk
+        w[:z] = qk[:z]
         for n in range(live_n[-1] + 1):
             if n:
-                np.multiply(w, lp, out=w)
+                np.multiply(w[:z], lp[:z], out=w[:z])
             if need[n, k]:
                 S[n, k] = w.sum()
     return S
@@ -186,10 +196,13 @@ def compute_coefficients(
     if tail_budget is not None and math.isnan(tail_budget):
         raise DomainError("tail budget must be a number, got nan")
 
-    lp = np.log(specfun.sieve_primes(prime_limit).astype(np.float64))
-    q = np.exp(-1.5 * lp)  # p^(-3/2)
+    # ln p in place of p, one block at a time: the only whole-table array
+    primes = specfun.sieve_primes(prime_limit)
+    lp = primes.view(np.float64)
+    for a in range(0, len(lp), _LEAF):
+        lp[a : a + _LEAF] = np.log(primes[a : a + _LEAF])
     k_top = k_max + _K_GUARD
-    S = _prime_sums(lp, q, order, k_top)
+    S = _prime_sums(lp, order, k_top)
 
     limit = float(prime_limit)
     c = []
@@ -435,8 +448,8 @@ def compute_coefficients_exact(order: int) -> tuple:
     if order < 0:
         raise DomainError(f"order must be >= 0, got {order!r}")
     # decimal is imported in the functions of this route, so that it loads
-    # after the prime sums: loaded first it would add 0.4 MB to the peak RSS
-    # of `taylor --order 20 --prime-limit 9999944`
+    # after the prime sums: loaded first it would add 0.4 MB to the 34 MB
+    # peak RSS of `taylor --order 20 --prime-limit 9999944`
     from decimal import Context, localcontext
 
     with localcontext(Context(prec=_DPS)):

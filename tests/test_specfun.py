@@ -247,10 +247,22 @@ def _full_flag_sieve(limit):
 def test_sieve_equals_full_flag_sieve():
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101)
     squares = [p * p + d for p in small for d in (-1, 0, 1)]
-    for limit in [*range(2, 301), *squares, 10**6, 10**7 - 100, 10**7 + 100]:
+    # limits whose last flag falls at the end of one of the first three segments
+    edges = [2 * k * specfun._SIEVE_SEGMENT + d for k in (1, 2, 3) for d in range(-2, 3)]
+    for limit in [*range(2, 301), *squares, *edges, 10**6, 10**7 - 100, 10**7 + 100]:
         got, want = specfun.sieve_primes(limit), _full_flag_sieve(limit)
         assert got.dtype == want.dtype == np.int64, limit
         assert np.array_equal(got, want), limit
+
+
+def test_sieve_count_within_dusart_bound():
+    # pi(x) <= x/ln x (1 + 1.2762/ln x) for x > 1 (Dusart, Math. Comp. 68,
+    # 1999) sizes the array sieve_primes fills; it is tightest at x = 1627,
+    # where it exceeds pi(x) = 258 by 0.003
+    powers = [10**k + d for k in range(1, 8) for d in (-1, 1)]
+    for x in [*range(2, 10**4 + 1), *powers]:
+        ln_x = math.log(x)
+        assert len(specfun.sieve_primes(x)) <= x / ln_x * (1.0 + 1.2762 / ln_x), x
 
 
 def test_sieve_capacity():

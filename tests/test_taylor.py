@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from decimal import Context, localcontext
 
 import mpmath as mp
@@ -167,8 +168,8 @@ def test_prime_sums_bitwise_equal_to_whole_array_sums(start, size, order, k_top)
     would then move too, and this test names the cause."""
     start = min(start, len(_PRIMES) - size)
     lp = np.log(_PRIMES[start : start + size].astype(np.float64))
-    q = np.exp(-1.5 * lp)
-    got = taylor._prime_sums(lp, q, order, k_top)
+    q = np.exp(-1.5 * lp)  # whole-array q: pins the bits of the kernel's per-block q
+    got = taylor._prime_sums(lp, order, k_top)
     want = _prime_sums_oracle(lp, q, order, k_top)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -181,14 +182,27 @@ def test_prime_sums_skip_absorbed_blocks(monkeypatch):
     summed = []
     leaf = taylor._leaf_sums
 
-    def counting(lp, q, need):
-        S = leaf(lp, q, need)
-        summed.append(len(q) * np.count_nonzero(S))
+    def counting(lp, need):
+        S = leaf(lp, need)
+        summed.append(len(lp) * np.count_nonzero(S))
         return S
 
     monkeypatch.setattr(taylor, "_leaf_sums", counting)
     taylor.compute_coefficients(20, 10**7)
     assert sum(summed) <= 0.2 * 469_275_618
+
+
+def test_prime_route_memory_peak():
+    # ln p, 8 bytes for each of the 664,579 primes to 10^7 (5.3 MB), is the
+    # only whole-table array; the sieve segment and the kernel's blocks add
+    # under 2 MB
+    tracemalloc.start()
+    try:
+        taylor.compute_coefficients(20, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_rearranged_float_route_pins(exact13):
