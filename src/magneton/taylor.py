@@ -48,6 +48,7 @@ _K_GUARD = 8  # extra prime-power blocks measured for the cutoff bound
 # k_max on the coefficients and bounds no longer change in a single bit
 _K_CEILING = 716
 _LEAF = 1 << 15  # primes per cache-resident block of _prime_sums
+_PW_BLOCKSIZE = 128  # numpy's pairwise-sum block, summed in one unrolled pass
 # Relative slack on the integral-test tail estimate for the prime-count
 # fluctuation that the smooth density cannot see.  Calibrated, not proven.
 # Against compute_coefficients_exact at order 20, c_bounds holds at 150
@@ -100,10 +101,10 @@ def _prime_sums(lp, order: int, k_top: int):
     of it, or one element, has the bits of the whole-array q.
 
     numpy sums a contiguous float64 array by a fixed pairwise tree: a node
-    of more than 128 elements is halved, the split rounded down to a
-    multiple of 8, and the two halves' sums are added.  Splitting at the
-    same points and adding block sums back up the same tree therefore
-    repeats numpy's additions exactly.  Above the leaves each node is one
+    of more than 128 elements (numpy's PW_BLOCKSIZE) is halved, the split
+    rounded down to a multiple of 8, and the two halves' sums are added.
+    Splitting at the same points and adding block sums back up the same
+    tree therefore repeats numpy's additions exactly.  Each such node is one
     addition S_left + S_right of non-negative sums, and in round to nearest
     that returns S_left bit for bit whenever S_right < ulp(S_left)/2.  The
     computed lp rises and q falls along a block: ln p moves by about 1/p
@@ -113,8 +114,21 @@ def _prime_sums(lp, order: int, k_top: int):
     its first q and its last lp.  Its sum over len terms is then below
     2 * len * q_first^k * lp_last^n: the factor 2 covers the roundings of
     the products and of the sum, subnormal ones included.  Where that bound
-    (taken in logs, so nothing underflows) is below ulp(S_left)/4, the
-    right block cannot move the entry and is not summed for that (n, k).
+    (taken in logs, so nothing underflows) is below ulp/4 of a lower bound
+    of S_left, the right block cannot move the entry and is not summed for
+    that (n, k).
+
+    Above _LEAF the lower bound is S_left itself, summed first.  Inside a
+    leaf that would cost a second pass over the left half for every entry
+    the right half does move, so the bound is one computed term: a computed
+    sum of non-negative terms is never below any of them.  It is the term
+    at the first prime from the peak ln p = n/(1.5k) of lp^n q^k on (or at
+    the left half's last), taken in logs with a factor-2 margin, and only
+    where every product on the way to it is a normal float (elsewhere 0.0,
+    whose ulp is the least double).  The entries whose right half is
+    absorbed recurse into the left half; the others take one pass over the
+    node.  The recursion stops at 128 elements, which numpy sums in one
+    unrolled pass, not as two halves.
     """
     need = np.ones((order + 1, k_top + 1), dtype=bool)
     need[:, 0] = False
@@ -125,18 +139,42 @@ def _node_sums(lp, need):
     """_prime_sums on one node of the pairwise tree; only the entries where
     `need` is set are exact, the others are left unsummed."""
     size = len(lp)
-    if size <= _LEAF:
+    if size <= _PW_BLOCKSIZE or not need.any():
         return _leaf_sums(lp, need)
     half = size // 2
     half -= half % 8
-    S = _node_sums(lp[:half], need)
-    q_half = np.exp(-1.5 * lp[half : half + 1])[0]
-    n, k = np.indices(need.shape)
-    log_bound = math.log(2 * (size - half)) + k * math.log(q_half) + n * math.log(lp[-1])
-    need = need & (log_bound >= np.log(np.spacing(S)) - math.log(4.0))
-    if need.any():
-        np.add(S, _node_sums(lp[half:], need), out=S, where=need)
+    if size > _LEAF:
+        S = _node_sums(lp[:half], need)
+        need = _moves(lp, half, need, S)
+        if need.any():
+            np.add(S, _node_sums(lp[half:], need), out=S, where=need)
+        return S
+    right = _moves(lp, half, need)
+    S = _node_sums(lp[:half], need & ~right)
+    np.copyto(S, _leaf_sums(lp, right), where=right)
     return S
+
+
+def _moves(lp, half, need, S=None):
+    """The entries of `need` whose left sum S may change when the sum over
+    lp[half:] is added, judged from S or, without S, from a lower bound of
+    it: half the term at the first prime of lp[:half] from the peak
+    ln p = n/(1.5k) on (or at its last), or 0.0 where some product on the
+    way to that term is not a normal float."""
+    n, k = np.nonzero(need)
+    if S is not None:
+        lower = S[n, k]
+    else:
+        lp_i = lp[np.searchsorted(lp[: half - 1], n / (1.5 * k))]
+        log_qk = k * np.log(np.exp(-1.5 * lp_i))
+        log_term = log_qk + n * np.log(lp_i) - math.log(2.0)
+        tiny = math.log(np.finfo(float).tiny) + math.log(2.0)
+        lower = np.where((log_qk >= tiny) & (log_term >= tiny), np.exp(log_term), 0.0)
+    q_half = np.exp(-1.5 * lp[half : half + 1])[0]
+    log_bound = math.log(2 * (len(lp) - half)) + k * math.log(q_half) + n * math.log(lp[-1])
+    out = np.zeros_like(need)
+    out[n, k] = log_bound >= np.log(np.spacing(lower)) - math.log(4.0)
+    return out
 
 
 def _leaf_sums(lp, need):
@@ -145,12 +183,14 @@ def _leaf_sums(lp, need):
     live_k = np.flatnonzero(need.any(axis=0))
     if not len(lp) or not len(live_k):
         return S
+    mul, add = np.multiply, np.add.reduce
     q = np.exp(-1.5 * lp)
     qk = np.ones_like(q)
     w = np.empty_like(q)
     z = len(q)  # q^k is 0.0 from index z on
+    q_z, lp_z, qk_z, w_z = q, lp, qk, w
     for k in range(1, live_k[-1] + 1):
-        np.multiply(qk[:z], q[:z], out=qk[:z])
+        mul(qk_z, q_z, out=qk_z)
         # q decreases along the block and rounding is monotone, so q^k is
         # largest at the block's first prime: once that is 0.0 the block
         # adds exactly 0.0 to this and every later k.  Short of that, the
@@ -159,17 +199,18 @@ def _leaf_sums(lp, need):
         if qk[0] == 0.0:
             break
         if qk[z - 1] == 0.0:
-            z = np.count_nonzero(qk[:z])
+            z = np.count_nonzero(qk_z)
             w[z:] = 0.0
+            q_z, lp_z, qk_z, w_z = q[:z], lp[:z], qk[:z], w[:z]
         live_n = np.flatnonzero(need[:, k])
         if not len(live_n):
             continue
-        w[:z] = qk[:z]
+        w_z[:] = qk_z
         for n in range(live_n[-1] + 1):
             if n:
-                np.multiply(w[:z], lp[:z], out=w[:z])
+                mul(w_z, lp_z, out=w_z)
             if need[n, k]:
-                S[n, k] = w.sum()
+                S[n, k] = add(w)
     return S
 
 

@@ -159,6 +159,17 @@ _lengths = st.one_of(
 # the k ceiling: a skipped right block whose own right half is skipped for
 # more (n, k), and leaves that stop their k loop early
 @example(start=0, size=3 * _LEAF + 1, order=3, k_top=taylor._K_CEILING + taylor._K_GUARD)
+# one leaf from the first prime: inside it, right halves down to numpy's
+# 128-element block are skipped for part of (n, k)
+@example(start=0, size=_LEAF, order=20, k_top=68)
+# the smallest nodes that split, into 64 + 65, 64 + 72 and 64 + 73: numpy
+# rounds each split down to a multiple of 8
+@example(start=0, size=129, order=20, k_top=68)
+@example(start=0, size=136, order=20, k_top=68)
+@example(start=0, size=137, order=20, k_top=68)
+# the k ceiling inside a leaf: lower bounds of 0.0 where the term at the
+# peak is not a normal float
+@example(start=0, size=_LEAF + 1, order=20, k_top=taylor._K_CEILING + taylor._K_GUARD)
 def test_prime_sums_bitwise_equal_to_whole_array_sums(start, size, order, k_top):
     """_prime_sums splits the primes at the nodes of numpy's pairwise-sum
     tree and adds block sums back up that tree, so it must reproduce the
@@ -174,11 +185,19 @@ def test_prime_sums_bitwise_equal_to_whole_array_sums(start, size, order, k_top)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_prime_sums_skip_absorbed_blocks(monkeypatch):
+@pytest.mark.parametrize(
+    "k_max, cap",
+    # Without skipping, 469,275,618 elements in 22,596 sums at the default
+    # k_max.  Skipping right blocks above the leaves left 71,338,266 (15.2%)
+    # in 3,435 sums, and 353,949,210 in 17,043 at the k ceiling; skipping
+    # right halves inside the leaves too leaves 43,678,314 and 44,766,954.
+    [(taylor.DEFAULT_K_MAX, 0.65 * 71_338_266), (taylor._K_CEILING, 0.25 * 353_949_210)],
+    ids=("default", "ceiling"),
+)
+def test_prime_sums_skip_absorbed_blocks(monkeypatch, k_max, cap):
     # deterministic work counter: elements the leaf passes sum (every summed
     # entry is positive, so a nonzero S entry is one sum) for the
-    # taylor-deep point.  Without skipping, that is 469,275,618 elements in
-    # 22,596 sums; with it, 71,338,266 (15.2%) in 3,435.
+    # taylor-deep point
     summed = []
     leaf = taylor._leaf_sums
 
@@ -188,21 +207,27 @@ def test_prime_sums_skip_absorbed_blocks(monkeypatch):
         return S
 
     monkeypatch.setattr(taylor, "_leaf_sums", counting)
-    taylor.compute_coefficients(20, 10**7)
-    assert sum(summed) <= 0.2 * 469_275_618
+    taylor.compute_coefficients(20, 10**7, k_max)
+    assert sum(summed) <= cap
 
 
-def test_prime_route_memory_peak():
+@pytest.mark.parametrize(
+    "k_max, cap",
+    [(taylor.DEFAULT_K_MAX, 8e6), (taylor._K_CEILING, 9e6)],
+    ids=("default", "ceiling"),
+)
+def test_prime_route_memory_peak(k_max, cap):
     # ln p, 8 bytes for each of the 664,579 primes to 10^7 (5.3 MB), is the
     # only whole-table array; the sieve segment and the kernel's blocks add
-    # under 2 MB
+    # under 2 MB (peaks of 6,555,921 and 6,779,643 B): the kernel's
+    # per-entry bound arrays die before it recurses
     tracemalloc.start()
     try:
-        taylor.compute_coefficients(20, 10**7)
+        taylor.compute_coefficients(20, 10**7, k_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8e6
+    assert peak <= cap
 
 
 def test_rearranged_float_route_pins(exact13):
