@@ -16,6 +16,7 @@ CrossCheckError.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -431,3 +432,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: numeric overflow ({exc})", file=sys.stderr)
         return 2
+    finally:
+        # finalisation's collection then skips numpy's module objects (34 ms
+        # of teardown after `table`, 9 ms frozen); only as the process, whose
+        # heap ends here, and only after numpy, whose objects make it long
+        if argv is None and "numpy" in sys.modules:
+            gc.freeze()

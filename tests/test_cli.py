@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import functools
+import gc
 import io
 import math
 import os
@@ -603,6 +604,52 @@ def test_array_commands_leave_numpy_ma_unloaded():
         [sys.executable, "-c", _RUN_ARRAY_COMMANDS], capture_output=True, text=True, timeout=60
     )
     assert proc.stdout.split() == ["True", "False"], proc.stderr
+
+
+# the body of the console script, the form the benchmark runs
+_ENTRY = "import sys; from magneton.cli import main; sys.exit(main())"
+
+
+def run_entry(*args, code=_ENTRY):
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, timeout=60
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--rho", "0.5", "1", "2"], ["taylor", "--order", "3", "--prime-limit", "100000"]],
+    ids=["table", "taylor"],
+)
+def test_entry_after_numpy_exits_cleanly(argv, capsys):
+    # main as the process freezes the collector before it returns: the
+    # payload, the empty stderr and the exit code are those of a call
+    proc = run_entry(*argv)
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert drop_timestamp(proc.stdout) == drop_timestamp(out)
+
+
+def test_entry_refusal_after_numpy():
+    proc = run_entry("table", "--rho", "2", "--t-max", "300")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: t_max 300 beyond the zeta window 200\n"
+
+
+def test_main_called_leaves_the_collector(capsys):
+    before = gc.get_freeze_count()
+    assert run(["table", "--rho", "2"], capsys)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv,frozen", [(["figure", "phi"], False), (["table", "--rho", "2"], True)])
+def test_main_as_the_process_freezes_after_numpy(argv, frozen):
+    # only a command that loaded numpy has a sweep worth skipping
+    code = "import gc; from magneton.cli import main; main(); print(gc.get_freeze_count())"
+    proc = run_entry(*argv, "--out", os.devnull, code=code)
+    assert proc.returncode == 0, proc.stderr
+    assert (int(proc.stdout) > 0) == frozen
 
 
 def test_numpy_integers_still_accepted():

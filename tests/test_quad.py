@@ -238,6 +238,95 @@ def test_zero_search_evaluates_each_abscissa_once(monkeypatch):
     assert len(seen) == len(set(seen))
 
 
+def _plain_zero_ordinates(t_max: float) -> tuple[float, ...]:
+    # the search without polish or replay: the grid's sign changes, bisected
+    # in lockstep with Z computed at every midpoint
+    n = math.ceil(t_max / quad._Z_STEP)
+    grid = np.array([t_max * k / n for k in range(n + 1)])
+    z = quad._hardy_z(t_max)
+    positive = lambda t: z(t) > 0.0
+    signs = positive(grid)
+    at = np.flatnonzero(signs[1:] != signs[:-1])
+    lo, hi, sign = grid[at], grid[at + 1], signs[at]
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = ((lo < mid) & (mid < hi)).nonzero()[0]
+        if not open_.size:
+            return tuple(lo.tolist())
+        same = positive(mid[open_]) == sign[open_]
+        lo[open_[same]] = mid[open_[same]]
+        hi[open_[~same]] = mid[open_[~same]]
+
+
+@pytest.mark.parametrize(
+    "t_max",
+    [50.0, 100.0, 200.0, *np.random.default_rng(25).uniform(14.2, 200.0, 40).tolist()],
+)
+def test_zero_search_equals_plain_bisection(t_max):
+    quad._zero_ordinates.cache_clear()
+    assert quad._zero_ordinates(t_max) == _plain_zero_ordinates(t_max)
+
+
+def _flickering_z(t_max: float):
+    # cos t, whose sign flips irregularly within 20 ulp of each zero
+    # (k + 1/2) pi: wider than the 3 ulp in which rounding flips the sign of
+    # Z next to some of its zeros
+    def z(t: np.ndarray) -> np.ndarray:
+        s = np.cos(t)
+        flip = (np.abs(s) < 20.0 * np.spacing(t)) & np.isin(t.view(np.int64) % 7, (1, 2, 4))
+        return np.where(flip, -s, s)
+
+    return z
+
+
+@pytest.mark.parametrize("t_max,zeros", [(50.0, 16), (200.0, 64)])
+def test_zero_search_equals_plain_bisection_through_sign_noise(monkeypatch, t_max, zeros):
+    # the replay computes every midpoint within reach of a polished bracket,
+    # so a sign that flips there sends it where the plain bisection goes
+    monkeypatch.setattr(quad, "_hardy_z", _flickering_z)
+    got = quad._zero_ordinates.__wrapped__(t_max)  # past the cache
+    assert len(got) == zeros
+    assert got == _plain_zero_ordinates(t_max)
+
+
+@pytest.mark.parametrize("t_max,calls,values", [(50.0, 24, 400), (200.0, 34, 2300)])
+def test_zero_search_work(monkeypatch, t_max, calls, values):
+    # measured: 20 calls of Z for 332 values at T = 50, and 26 for 1,824 at
+    # T = 200; the plain bisection makes 48 calls for 656 and 4,259
+    sizes = []
+    hardy_z = quad._hardy_z
+
+    def counted(t_max):
+        z = hardy_z(t_max)
+        return lambda t: sizes.append(t.size) or z(t)
+
+    monkeypatch.setattr(quad, "_hardy_z", counted)
+    quad._zero_ordinates.cache_clear()
+    quad._zero_ordinates(t_max)
+    assert len(sizes) <= calls
+    assert sum(sizes) <= values
+
+
+def test_polish_halves_where_the_secant_stalls():
+    # Z as a step: each secant pair is flat or straddles the step, so the
+    # halving rule does the shrinking, and no quotient warns on the way
+    for step in (0.1, 0.0625, 0.24999):
+        sizes = []
+
+        def z(t):
+            sizes.append(t.size)
+            return np.where(t > step, 1.0, -1.0)
+
+        width = quad._POLISH_ULP * np.spacing(np.array([0.25]))
+        a, b = quad._polish(
+            np.array([0.0]), np.array([0.25]), np.array([-1.0]), np.array([1.0]), width, z
+        )
+        assert a[0] <= step < b[0] and b[0] - a[0] <= width[0]
+        # at most one halving in every _HALVING_STEPS + 1 steps
+        halvings = math.ceil(math.log2(0.25 / width[0]))
+        assert len(sizes) <= (quad._HALVING_STEPS + 1) * halvings
+
+
 def test_phi_numeric_t_max_on_first_zero():
     # t_max a few ulp above the first ordinate leaves a last panel a few
     # ulp wide; with its equal share of the tolerance it still closes
