@@ -1,5 +1,5 @@
 """Foundation special functions: the zeta family, log-gamma and polygamma,
-the completed xi function, and prime machinery.
+and the completed xi function.
 
 Everything is self-contained double precision.  zeta is an Euler-Maclaurin
 sum whose truncation length grows with |Im s|.  The supported window is
@@ -15,10 +15,10 @@ kernel `_reg_real`, and a float gets a float back (log_gamma: x > 0, xi:
 x > -2); a float in the window gets there without a complex round trip.
 Every other s of the zeta family takes the numpy kernel `_reg_lines`,
 which also serves the quadrature lines and the zero search of `quad`.
-Complex quotients are numpy's, so numpy loads for complex arguments and
-`sieve_primes` only; real arguments load none.  `_reg_real` keeps the bits
-of the real part of the complex evaluation: numpy's pairwise order for its
-29-term sums and a multiply by the reciprocal where numpy divides.
+Complex quotients are numpy's, so numpy loads for complex arguments only;
+real arguments load none.  `_reg_real` keeps the bits of the real part of
+the complex evaluation: numpy's pairwise order for its 29-term sums and a
+multiply by the reciprocal where numpy divides.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ LN_PI = math.log(math.pi)
 IM_WINDOW = 200.0
 RE_MIN = -3.0
 RE_MAX = 1e20  # zeta is exactly 1.0 long before
-# Limit of sieve_primes, in flags of one byte per odd number: 2^29 flags
-# take the primes up to 2^30.  The sieve holds one segment and the primes,
-# about 16/ln(limit) of the budget in int64 values (0.77 of it at 2^30).
-_SIEVE_BUDGET = 2**29
-_SIEVE_SEGMENT = 1 << 19  # flags per segment of sieve_primes, 512 kB
 # log_gamma shifts one unit at a time up to Re >= 9: about 2 ms from here on
 # a 2-vCPU Xeon, linear in |Re s|, and past 2^53 a unit step no longer moves
 # the argument at all.  No caller in the package goes below Re s = -1/2.
@@ -413,105 +408,3 @@ def xi(s):
     if not cmath.isfinite(out):
         raise OverflowError(f"|xi({w:g})| exceeds the double range")
     return out.real if w is not z and not isinstance(s, complex) else out
-
-
-def sieve_primes(limit: int):
-    """The primes <= limit, ascending, as a numpy int64 array, by a
-    segmented Eratosthenes sieve over the odd numbers (Bays and Hudson,
-    BIT 17, 1977): the odd primes up to sqrt(limit) first, then one
-    segment of _SIEVE_SEGMENT flags at a time.  Each segment's primes go
-    into one array preallocated at Dusart's bound pi(x) <= x/ln x
-    (1 + 1.2762/ln x) for x > 1 (Math. Comp. 68, 1999), which is shrunk to
-    the count at the end.  A request whose (limit + 1) // 2 odd-number
-    flags exceed _SIEVE_BUDGET raises instead of thrashing."""
-    if not hasattr(limit, "__index__") or limit < 2:
-        raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
-    if (limit + 1) // 2 > _SIEVE_BUDGET:
-        raise DomainError(
-            f"sieve to {limit} needs ~{(limit + 1) // 2} bytes, budget is {_SIEVE_BUDGET}"
-        )
-    import numpy as np
-
-    limit = int(limit)
-    size = (limit + 1) // 2  # flag i stands for 2i + 1, except flag 0, which stands for 2
-    root = math.isqrt(limit)
-    base = np.ones((root + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(root) + 1) // 2):
-        if base[i]:
-            base[2 * i * (i + 1) :: 2 * i + 1] = False  # (2i + 1)^2 on
-    odd = (2 * np.flatnonzero(base[1:]) + 3).tolist()  # odd primes <= sqrt(limit)
-    ln_x = math.log(limit)
-    primes = np.empty(int(limit / ln_x * (1.0 + 1.2762 / ln_x)), dtype=np.int64)
-    count = 0
-    segment = np.empty(min(size, _SIEVE_SEGMENT), dtype=bool)
-    for lo in range(0, size, _SIEVE_SEGMENT):
-        flags = segment[: size - lo]
-        flags[:] = True
-        for p in odd:
-            start = p * p // 2 - lo  # the flag of p^2
-            if start >= len(flags):
-                break
-            flags[max(start, start % p) :: p] = False  # p^2 on, or p's first multiple here
-        found = np.flatnonzero(flags)
-        found *= 2
-        found += 2 * lo + 1
-        primes[count : count + len(found)] = found
-        count += len(found)
-        del found  # freed before the next segment's is made
-    primes[0] = 2
-    primes.resize(count, refcheck=False)  # no view of primes is alive
-    return primes
-
-
-def exp_integral_e1(z: float) -> float:
-    """E1(z) for z > 0: power series below 1, Lentz continued fraction above."""
-    if z <= 0.0:
-        raise DomainError("E1 needs z > 0")
-    if z <= 1.0:
-        total = -EULER_GAMMA - math.log(z)
-        term = 1.0
-        for k in range(1, 30):
-            term *= -z / k
-            total -= term / k
-            if abs(term) < 1e-20:
-                break
-        return total
-    tiny = 1e-300
-    b = z + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 120):
-        a = -i * i
-        b += 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-z)
-
-
-def upper_gamma_int(n: int, z: float) -> float:
-    """Incomplete Gamma(n, z) for integer n >= 1, closed form."""
-    if n < 1:
-        raise DomainError("upper_gamma_int needs n >= 1")
-    s = 0.0
-    t = 1.0
-    for j in range(n):
-        if j:
-            t *= z / j
-        s += t
-    return math.factorial(n - 1) * math.exp(-z) * s
-
-
-def prime_tail_estimate(n: int, y: float, limit: float) -> float:
-    """Integral-test estimate of sum over primes p > limit of (ln p)^n p^-y,
-    using the logarithmic-integral prime density dt/ln t."""
-    if y <= 1.0:
-        raise DomainError("prime tail diverges for exponent <= 1")
-    z = (y - 1.0) * math.log(limit)
-    if n == 0:
-        return exp_integral_e1(z)
-    return upper_gamma_int(n, z) / (y - 1.0) ** n

@@ -3,20 +3,22 @@
 The completed function xi(x) = x(x-1) pi^(-x/2) Gamma(x/2) zeta(x) has
 ln xi = ln x + ln(x-1) + ln Gamma(x/2) - (x/2) ln pi + ln zeta(x),
 and every derivative at x = 3/2 splits into elementary closed parts plus
-a prime-power sum coming from ln zeta.  Truncating the primes at a table
-limit leaves a tail that is corrected by an integral-test (li-style)
-estimate.  Each coefficient carries a bound: a calibrated relative slack
-on that estimate for the prime-count fluctuation, plus the measured k
-cutoff remainder.  The slack is not a proof; at some table limits the
-true error exceeds it (see _TAIL_FLUCTUATION_REL).  The bound grows
-explosively with the order, which is the quantitative statement that
-high coefficients cannot be trusted from primes alone.  A high-precision
-reference route provides the same coefficients without primes, for
-cross-checks: one Euler-Maclaurin pass over power series in s - 3/2 gives
-every zeta^(k)(3/2)/k! at once, and one more at 3/4 + 30 gives ln Gamma,
-psi and the Hurwitz zeta values of the gamma factor, each to within a
-stated bound.  It runs on the standard library's decimal at 50 decimal
-digits (see _DPS for why that many) and needs no mpmath.
+a prime-power sum coming from ln zeta.  This module owns that prime
+route: the sieve (`sieve_primes`), the prime sums, and the integral-test
+(li-style) estimate (`prime_tail_estimate`) that corrects the tail left
+by truncating the primes at a table limit.  Each coefficient carries a
+bound: a calibrated relative slack on that estimate for the prime-count
+fluctuation, plus the measured k cutoff remainder.  The slack is not a
+proof; at some table limits the true error exceeds it (see
+_TAIL_FLUCTUATION_REL).  The bound grows explosively with the order,
+which is the quantitative statement that high coefficients cannot be
+trusted from primes alone.  A high-precision reference route provides the
+same coefficients without primes, for cross-checks: one Euler-Maclaurin
+pass over power series in s - 3/2 gives every zeta^(k)(3/2)/k! at once,
+and one more at 3/4 + 30 gives ln Gamma, psi and the Hurwitz zeta values
+of the gamma factor, each to within a stated bound.  It runs on the
+standard library's decimal at 50 decimal digits (see _DPS for why that
+many) and needs no mpmath.
 
 Evaluating the series rearranged at x = 1 recovers ln|xi(1)| = 0 through
 a near-total cancellation, and its slope estimates the first Li/Keiper
@@ -49,6 +51,11 @@ _K_GUARD = 8  # extra prime-power blocks measured for the cutoff bound
 _K_CEILING = 716
 _LEAF = 1 << 15  # primes per cache-resident block of _prime_sums
 _PW_BLOCKSIZE = 128  # numpy's pairwise-sum block, summed in one unrolled pass
+# Limit of sieve_primes, in flags of one byte per odd number: 2^29 flags
+# take the primes up to 2^30.  The sieve holds one segment and the primes,
+# about 16/ln(limit) of the budget in int64 values (0.77 of it at 2^30).
+_SIEVE_BUDGET = 2**29
+_SIEVE_SEGMENT = 1 << 19  # flags per segment of sieve_primes, 512 kB
 # Relative slack on the integral-test tail estimate for the prime-count
 # fluctuation that the smooth density cannot see.  Calibrated, not proven.
 # Against compute_coefficients_exact at order 20, c_bounds holds at 150
@@ -87,6 +94,52 @@ def _analytic_part(n: int) -> float:
     gamma_part = specfun.polygamma(n - 1, 0.75) / 2.0**n
     pi_part = -0.5 * _LN_PI if n == 1 else 0.0
     return math.fsum((rational, gamma_part, pi_part))
+
+
+def sieve_primes(limit: int):
+    """The primes <= limit, ascending, as a numpy int64 array, by a
+    segmented Eratosthenes sieve over the odd numbers (Bays and Hudson,
+    BIT 17, 1977): the odd primes up to sqrt(limit) first, then one
+    segment of _SIEVE_SEGMENT flags at a time.  Each segment's primes go
+    into one array preallocated at Dusart's bound pi(x) <= x/ln x
+    (1 + 1.2762/ln x) for x > 1 (Math. Comp. 68, 1999), which is shrunk to
+    the count at the end.  A request whose (limit + 1) // 2 odd-number
+    flags exceed _SIEVE_BUDGET raises instead of thrashing."""
+    if not hasattr(limit, "__index__") or limit < 2:
+        raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
+    if (limit + 1) // 2 > _SIEVE_BUDGET:
+        raise DomainError(
+            f"sieve to {limit} needs ~{(limit + 1) // 2} bytes, budget is {_SIEVE_BUDGET}"
+        )
+    limit = int(limit)
+    size = (limit + 1) // 2  # flag i stands for 2i + 1, except flag 0, which stands for 2
+    root = math.isqrt(limit)
+    base = np.ones((root + 1) // 2, dtype=bool)
+    for i in range(1, (math.isqrt(root) + 1) // 2):
+        if base[i]:
+            base[2 * i * (i + 1) :: 2 * i + 1] = False  # (2i + 1)^2 on
+    odd = (2 * np.flatnonzero(base[1:]) + 3).tolist()  # odd primes <= sqrt(limit)
+    ln_x = math.log(limit)
+    primes = np.empty(int(limit / ln_x * (1.0 + 1.2762 / ln_x)), dtype=np.int64)
+    count = 0
+    segment = np.empty(min(size, _SIEVE_SEGMENT), dtype=bool)
+    for lo in range(0, size, _SIEVE_SEGMENT):
+        flags = segment[: size - lo]
+        flags[:] = True
+        for p in odd:
+            start = p * p // 2 - lo  # the flag of p^2
+            if start >= len(flags):
+                break
+            flags[max(start, start % p) :: p] = False  # p^2 on, or p's first multiple here
+        found = np.flatnonzero(flags)
+        found *= 2
+        found += 2 * lo + 1
+        primes[count : count + len(found)] = found
+        count += len(found)
+        del found  # freed before the next segment's is made
+    primes[0] = 2
+    primes.resize(count, refcheck=False)  # no view of primes is alive
+    return primes
 
 
 def _prime_sums(lp, order: int, k_top: int):
@@ -214,6 +267,60 @@ def _leaf_sums(lp, need):
     return S
 
 
+def exp_integral_e1(z: float) -> float:
+    """E1(z) for z > 0: power series below 1, Lentz continued fraction above."""
+    if z <= 0.0:
+        raise DomainError("E1 needs z > 0")
+    if z <= 1.0:
+        total = -specfun.EULER_GAMMA - math.log(z)
+        term = 1.0
+        for k in range(1, 30):
+            term *= -z / k
+            total -= term / k
+            if abs(term) < 1e-20:
+                break
+        return total
+    tiny = 1e-300
+    b = z + 1.0
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 120):
+        a = -i * i
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            break
+    return h * math.exp(-z)
+
+
+def upper_gamma_int(n: int, z: float) -> float:
+    """Incomplete Gamma(n, z) for integer n >= 1, closed form."""
+    if n < 1:
+        raise DomainError("upper_gamma_int needs n >= 1")
+    s = 0.0
+    t = 1.0
+    for j in range(n):
+        if j:
+            t *= z / j
+        s += t
+    return math.factorial(n - 1) * math.exp(-z) * s
+
+
+def prime_tail_estimate(n: int, y: float, limit: float) -> float:
+    """Integral-test estimate of sum over primes p > limit of (ln p)^n p^-y,
+    using the logarithmic-integral prime density dt/ln t."""
+    if y <= 1.0:
+        raise DomainError("prime tail diverges for exponent <= 1")
+    z = (y - 1.0) * math.log(limit)
+    if n == 0:
+        return exp_integral_e1(z)
+    return upper_gamma_int(n, z) / (y - 1.0) ** n
+
+
 def compute_coefficients(
     order: int,
     prime_limit: int = DEFAULT_PRIME_LIMIT,
@@ -236,9 +343,11 @@ def compute_coefficients(
         raise DomainError(f"k_max must be <= {_K_CEILING}, got {k_max!r}")
     if tail_budget is not None and math.isnan(tail_budget):
         raise DomainError("tail budget must be a number, got nan")
+    if tail_budget is not None and tail_budget <= 0.0:  # every c_bounds[n] is > 0
+        raise DomainError(f"tail budget must be > 0, got {tail_budget!r}")
 
     # ln p in place of p, one block at a time: the only whole-table array
-    primes = specfun.sieve_primes(prime_limit)
+    primes = sieve_primes(prime_limit)
     lp = primes.view(np.float64)
     for a in range(0, len(lp), _LEAF):
         lp[a : a + _LEAF] = np.log(primes[a : a + _LEAF])
@@ -252,7 +361,7 @@ def compute_coefficients(
         sign = 1.0 if n % 2 == 0 else -1.0
         raw = sign * math.fsum(float(k) ** (n - 1) * S[n, k] for k in range(1, k_max + 1))
         ests = [
-            float(k) ** (n - 1) * specfun.prime_tail_estimate(n, 1.5 * k, limit)
+            float(k) ** (n - 1) * prime_tail_estimate(n, 1.5 * k, limit)
             for k in (1, 2, 3)
         ]
         correction = sign * math.fsum(ests)

@@ -513,6 +513,14 @@ def test_taylor_nan_budget(capsys):
     assert err.startswith("error: tail budget") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_taylor_non_positive_budget(capsys, budget):
+    # refused before the sieve: no table limit or order brings a bound to 0
+    code, out, err = run(["taylor", "--tail-budget", budget], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: tail budget must be > 0, got {float(budget)!r}\n"
+
+
 def test_unknown_command(capsys):
     with pytest.raises(SystemExit):
         cli.main(["nope"])
@@ -655,7 +663,7 @@ def test_main_as_the_process_freezes_after_numpy(argv, frozen):
 def test_numpy_integers_still_accepted():
     import numpy as np
 
-    assert specfun.sieve_primes(np.int64(100)).tolist() == specfun.sieve_primes(100).tolist()
+    assert taylor.sieve_primes(np.int64(100)).tolist() == taylor.sieve_primes(100).tolist()
     assert specfun.polygamma(np.int64(2), 1.5) == specfun.polygamma(2, 1.5)
 
 

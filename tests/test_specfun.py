@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from magneton import specfun
+from magneton import specfun, taylor
 from magneton.errors import DomainError
 
 GAMMA = specfun.EULER_GAMMA
@@ -227,11 +227,11 @@ def test_zeta_logderiv_against_difference():
 
 
 def test_sieve_small():
-    assert list(specfun.sieve_primes(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert list(taylor.sieve_primes(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_sieve_count_1e6():
-    assert len(specfun.sieve_primes(10**6)) == 78498
+    assert len(taylor.sieve_primes(10**6)) == 78498
 
 
 def _full_flag_sieve(limit):
@@ -248,9 +248,9 @@ def test_sieve_equals_full_flag_sieve():
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 97, 101)
     squares = [p * p + d for p in small for d in (-1, 0, 1)]
     # limits whose last flag falls at the end of one of the first three segments
-    edges = [2 * k * specfun._SIEVE_SEGMENT + d for k in (1, 2, 3) for d in range(-2, 3)]
+    edges = [2 * k * taylor._SIEVE_SEGMENT + d for k in (1, 2, 3) for d in range(-2, 3)]
     for limit in [*range(2, 301), *squares, *edges, 10**6, 10**7 - 100, 10**7 + 100]:
-        got, want = specfun.sieve_primes(limit), _full_flag_sieve(limit)
+        got, want = taylor.sieve_primes(limit), _full_flag_sieve(limit)
         assert got.dtype == want.dtype == np.int64, limit
         assert np.array_equal(got, want), limit
 
@@ -262,39 +262,39 @@ def test_sieve_count_within_dusart_bound():
     powers = [10**k + d for k in range(1, 8) for d in (-1, 1)]
     for x in [*range(2, 10**4 + 1), *powers]:
         ln_x = math.log(x)
-        assert len(specfun.sieve_primes(x)) <= x / ln_x * (1.0 + 1.2762 / ln_x), x
+        assert len(taylor.sieve_primes(x)) <= x / ln_x * (1.0 + 1.2762 / ln_x), x
 
 
 def test_sieve_capacity():
     with pytest.raises(DomainError, match="budget"):
-        specfun.sieve_primes(10**11)
+        taylor.sieve_primes(10**11)
 
 
 def test_sieve_budget_boundary(monkeypatch):
     # the budget counts the (limit + 1) // 2 flag bytes: 50 of them take
     # limit 100, and limit 101 needs 51
-    monkeypatch.setattr(specfun, "_SIEVE_BUDGET", 50)
-    assert len(specfun.sieve_primes(100)) == 25
+    monkeypatch.setattr(taylor, "_SIEVE_BUDGET", 50)
+    assert len(taylor.sieve_primes(100)) == 25
     with pytest.raises(DomainError, match=r"^sieve to 101 needs ~51 bytes, budget is 50$"):
-        specfun.sieve_primes(101)
+        taylor.sieve_primes(101)
 
 
 def test_exp_integral_refs():
     for z, ref in E1_REFS.items():
-        assert specfun.exp_integral_e1(z) == pytest.approx(ref, rel=1e-13)
+        assert taylor.exp_integral_e1(z) == pytest.approx(ref, rel=1e-13)
 
 
 def test_upper_gamma_int():
     # Gamma(n, z) = (n-1)! e^-z sum_{k<n} z^k/k!
     z = 2.5
     expect = 2.0 * math.exp(-z) * (1.0 + z + z * z / 2.0)
-    assert specfun.upper_gamma_int(3, z) == pytest.approx(expect, rel=1e-13)
-    assert specfun.upper_gamma_int(1, z) == pytest.approx(math.exp(-z), rel=1e-13)
+    assert taylor.upper_gamma_int(3, z) == pytest.approx(expect, rel=1e-13)
+    assert taylor.upper_gamma_int(1, z) == pytest.approx(math.exp(-z), rel=1e-13)
 
 
 def test_prime_tail_estimate_shrinks():
-    a = specfun.prime_tail_estimate(1, 1.5, 1e6)
-    b = specfun.prime_tail_estimate(1, 1.5, 1e7)
+    a = taylor.prime_tail_estimate(1, 1.5, 1e6)
+    b = taylor.prime_tail_estimate(1, 1.5, 1e7)
     assert 0.0 < b < a
 
 

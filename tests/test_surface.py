@@ -104,15 +104,17 @@ def _imports() -> set[tuple[str, str | None, str]]:
 def test_import_rule():
     # numpy loads with quad and taylor, which only the table and taylor
     # commands import, so figure and constants never load it; specfun's
-    # sieve and complex kernels import it when first called.  mpmath is a
-    # test and benchmark dependency only: the exact route runs on decimal.
+    # complex kernels and quotient import it when first called.  mpmath is
+    # a test and benchmark dependency only: the exact route runs on decimal.
     imports = _imports()
 
     def sites(name: str) -> set:
         return {(mod, where) for mod, where, imported in imports if imported == name}
 
     assert {mod for mod, where in sites("numpy") if where is None} == {"quad", "taylor"}
-    assert {mod for mod, where in sites("numpy") if where is not None} == {"specfun"}
+    assert {(mod, where) for mod, where in sites("numpy") if where is not None} == {
+        ("specfun", f) for f in ("_cdiv", "_n_trunc", "_n_pow_it", "_reg_lines", "_kernel")
+    }
     assert sites("mpmath") == set()
     # decimal loads inside the exact route, after the prime sums
     assert {mod for mod, where in sites("decimal")} == {"taylor"}

@@ -107,6 +107,29 @@ def test_compute_validation():
         taylor.compute_coefficients_exact(-2)
 
 
+@pytest.mark.parametrize("budget", [0.0, -0.0, -1.0, -math.inf])
+def test_non_positive_tail_budget_refused_before_the_sieve(monkeypatch, budget):
+    # every c_bounds[n] is > 0, so no table limit or order could meet it
+    def no_sieve(limit):
+        raise AssertionError("sieved")
+
+    monkeypatch.setattr(taylor, "sieve_primes", no_sieve)
+    with pytest.raises(DomainError, match=r"^tail budget must be > 0, got "):
+        taylor.compute_coefficients(3, 10**6, tail_budget=budget)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 13, 20])
+@pytest.mark.parametrize("y", [1.5, 3.0, 4.5])
+@pytest.mark.parametrize("limit", [2.0, 1e4, 1e6, 1e7])
+def test_prime_tail_estimate_is_its_integral(n, y, limit):
+    # int_L^inf (ln t)^n t^-y dt/ln t = Gamma(n, (y-1) ln L)/(y-1)^n, and
+    # E1((y-1) ln L) for n = 0
+    with mp.workdps(30):
+        z = (y - 1) * mp.log(limit)
+        want = float(mp.e1(z) if n == 0 else mp.gammainc(n, z) / mp.mpf(y - 1) ** n)
+    assert taylor.prime_tail_estimate(n, y, limit) == pytest.approx(want, rel=1e-13)
+
+
 def test_k_max_ceiling_changes_nothing_beyond(monkeypatch):
     # from the ceiling on, p^(-3k/2) is 0.0 for every prime, so a higher
     # k_max would reproduce the same coefficients and bounds bit for bit
@@ -115,7 +138,7 @@ def test_k_max_ceiling_changes_nothing_beyond(monkeypatch):
     assert taylor.compute_coefficients(20, 1000, 2000) == at_ceiling
 
 
-_PRIMES = specfun.sieve_primes(2 * 10**6)  # 148,933 primes
+_PRIMES = taylor.sieve_primes(2 * 10**6)  # 148,933 primes
 _LEAF = taylor._LEAF
 
 
