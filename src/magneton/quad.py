@@ -67,9 +67,6 @@ _POLISH_ULP = 64
 # a polish step bisects a bracket not halved in this many steps (over two,
 # the first secant steps were bisected: 24 calls of Z at T = 50, not 20)
 _HALVING_STEPS = 3
-# Abscissae per call of the line kernel in the quadrature: an n^-it table
-# of 64 rows of at most 260 terms, about 270 kB
-_LINE_CHUNK = 64
 # (line, abscissa) pairs per call, unless one abscissa has more lines open
 _PAIRS = 1024
 # Bytes of line state per batch of lines integrated together: 16 a term of
@@ -92,6 +89,8 @@ class QuadratureConfig:
             )
         if not (self.abs_tol > 0.0):
             raise DomainError("abs_tol must be positive")
+        if self.abs_tol == math.inf:  # err starts at inf, so no panel would refine
+            raise DomainError("abs_tol must be finite")
         if self.max_depth < 1:
             raise DomainError("max_depth must be >= 1")
 
@@ -113,8 +112,8 @@ def _integrate(
     integrands at once.  `fv(t, lines)` maps an array of abscissae and an
     array of line indices to the (lines, abscissae) array of values.  Each
     level calls fv on the new nodes of a panel piece by piece, each piece
-    for every line that still has the panel open: at most _LINE_CHUNK
-    nodes and, where more than one node fits, _PAIRS values a call.
+    for every line that still has the panel open: at most _PAIRS values a
+    call, or one node where more lines than that are open.
 
     Each line keeps its own open panels, sums and counters, so its result
     is the one it gets alone.  The first line in order that fails raises
@@ -173,7 +172,7 @@ def _integrate(
             t = nodes[k][keep[k]]
             w = np.broadcast_to(weight[k], keep[k].shape)[keep[k]]
             n_evals[lines] += t.size
-            step = max(1, min(_LINE_CHUNK, _PAIRS // lines.size))
+            step = max(1, _PAIRS // lines.size)
             for c in range(0, t.size, step):
                 lines = lines[is_open[lines, p]]
                 if not lines.size:

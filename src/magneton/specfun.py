@@ -60,7 +60,7 @@ _HALF_LN_2PI = 0.5 * math.log(2.0 * math.pi)
 _MAX_N = max(30, math.ceil(1.3 * IM_WINDOW)) + 1
 _LOGN = tuple(math.log(n) for n in range(1, _MAX_N + 1))
 _LOGN29, _LN30 = _LOGN[:29], _LOGN[29]  # ln n of the base sum and ln N for every real s
-# Complex values per n^-s block of `_reg_lines`, 64 kB
+# Complex values per n^-it table and per n^-s block of `_reg_lines`, 64 kB
 _TERMS = 4096
 
 
@@ -195,19 +195,22 @@ def _reg_lines(rhos: list[float], t_top: float, want_deriv: bool = False):
         s = rho[lines, None] + 1j * t
         base = np.empty_like(s)
         dbase = np.empty_like(s) if want_deriv else None
-        # one n^-it table per run of equal N, dropped after its run
+        # one n^-it table per piece of a run of equal N, dropped after it
         cuts = np.flatnonzero(np.diff(n_trunc, prepend=0, append=0)).tolist()
         for a, b in zip(cuts, cuts[1:]):
             terms = n_trunc[a] - 1
-            n_it = _n_pow_it(t[a:b], logn[:terms])
-            step = max(1, _TERMS // n_it.size)
-            for j in range(0, lines.size, step):
-                n_pow_s = n_pow_rho[lines[j : j + step], None, :terms] * n_it
-                base[j : j + step, a:b] = n_pow_s.sum(axis=-1)
-                if want_deriv:
-                    dbase[j : j + step, a:b] = -(n_pow_s * logn[:terms]).sum(axis=-1)
-                del n_pow_s  # so that the next block is the only one held
-            del n_it
+            width = max(1, _TERMS // terms)
+            for c in range(a, b, width):
+                d = min(c + width, b)
+                n_it = _n_pow_it(t[c:d], logn[:terms])
+                step = max(1, _TERMS // n_it.size)
+                for j in range(0, lines.size, step):
+                    n_pow_s = n_pow_rho[lines[j : j + step], None, :terms] * n_it
+                    base[j : j + step, c:d] = n_pow_s.sum(axis=-1)
+                    if want_deriv:
+                        dbase[j : j + step, c:d] = -(n_pow_s * logn[:terms]).sum(axis=-1)
+                    del n_pow_s  # so that the next block is the only one held
+                del n_it
         # corrections: sum_k B_2k/(2k)! * (s)_(2k-1) * N^(1-2k-s), k = 1..7
         n_pow_ms = np.exp(-s * ln_big)  # N^-s
         corr = np.zeros_like(s)

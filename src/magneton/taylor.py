@@ -99,12 +99,12 @@ def _analytic_part(n: int) -> float:
 def sieve_primes(limit: int):
     """The primes <= limit, ascending, as a numpy int64 array, by a
     segmented Eratosthenes sieve over the odd numbers (Bays and Hudson,
-    BIT 17, 1977): the odd primes up to sqrt(limit) first, then one
-    segment of _SIEVE_SEGMENT flags at a time.  Each segment's primes go
-    into one array preallocated at Dusart's bound pi(x) <= x/ln x
-    (1 + 1.2762/ln x) for x > 1 (Math. Comp. 68, 1999), which is shrunk to
-    the count at the end.  A request whose (limit + 1) // 2 odd-number
-    flags exceed _SIEVE_BUDGET raises instead of thrashing."""
+    BIT 17, 1977): the odd primes up to sqrt(limit) from this sieve on
+    sqrt(limit), then one segment of _SIEVE_SEGMENT flags at a time.  Each
+    segment's primes go into one array preallocated at Dusart's bound
+    pi(x) <= x/ln x (1 + 1.2762/ln x) for x > 1 (Math. Comp. 68, 1999),
+    which is shrunk to the count at the end.  A request of more than
+    _SIEVE_BUDGET odd-number flags, (limit + 1) // 2, raises instead."""
     if not hasattr(limit, "__index__") or limit < 2:
         raise DomainError(f"sieve limit must be an integer >= 2, got {limit!r}")
     if (limit + 1) // 2 > _SIEVE_BUDGET:
@@ -114,11 +114,7 @@ def sieve_primes(limit: int):
     limit = int(limit)
     size = (limit + 1) // 2  # flag i stands for 2i + 1, except flag 0, which stands for 2
     root = math.isqrt(limit)
-    base = np.ones((root + 1) // 2, dtype=bool)
-    for i in range(1, (math.isqrt(root) + 1) // 2):
-        if base[i]:
-            base[2 * i * (i + 1) :: 2 * i + 1] = False  # (2i + 1)^2 on
-    odd = (2 * np.flatnonzero(base[1:]) + 3).tolist()  # odd primes <= sqrt(limit)
+    odd = sieve_primes(root)[1:].tolist() if root >= 2 else []  # odd primes <= sqrt(limit)
     ln_x = math.log(limit)
     primes = np.empty(int(limit / ln_x * (1.0 + 1.2762 / ln_x)), dtype=np.int64)
     count = 0
@@ -240,28 +236,16 @@ def _leaf_sums(lp, need):
     q = np.exp(-1.5 * lp)
     qk = np.ones_like(q)
     w = np.empty_like(q)
-    z = len(q)  # q^k is 0.0 from index z on
-    q_z, lp_z, qk_z, w_z = q, lp, qk, w
+    # every pass runs over the whole block, in numpy's pairwise order
     for k in range(1, live_k[-1] + 1):
-        mul(qk_z, q_z, out=qk_z)
-        # q decreases along the block and rounding is monotone, so q^k is
-        # largest at the block's first prime: once that is 0.0 the block
-        # adds exactly 0.0 to this and every later k.  Short of that, the
-        # zeros form a suffix, which the products skip; the sum still runs
-        # over the whole block, to keep numpy's pairwise tree.
-        if qk[0] == 0.0:
-            break
-        if qk[z - 1] == 0.0:
-            z = np.count_nonzero(qk_z)
-            w[z:] = 0.0
-            q_z, lp_z, qk_z, w_z = q[:z], lp[:z], qk[:z], w[:z]
+        mul(qk, q, out=qk)
         live_n = np.flatnonzero(need[:, k])
         if not len(live_n):
             continue
-        w_z[:] = qk_z
+        w[:] = qk
         for n in range(live_n[-1] + 1):
             if n:
-                mul(w_z, lp_z, out=w_z)
+                mul(w, lp, out=w)
             if need[n, k]:
                 S[n, k] = add(w)
     return S

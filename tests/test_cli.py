@@ -185,6 +185,14 @@ def test_table_unreachable_tolerance_stops():
     assert "tolerance 1e-17" in proc.stderr
 
 
+def test_table_infinite_tolerance_refused(capsys):
+    # no error estimate exceeds an infinite tolerance, so every panel would
+    # close on its first level and print phi_numeric 1.99588363002 at rho = 2
+    code, out, err = run(["table", "--rho", "2", "--tol", "inf"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: abs_tol must be finite\n"
+
+
 def test_table_pole_line_on_a_tiny_panel(capsys):
     # nodes within 1e-308 of the pole overflow |zeta|; the refusal is the
     # only line on stderr, with no numpy warning before it

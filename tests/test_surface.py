@@ -1,8 +1,8 @@
 """The public surface of the package: README's Library block runs and
 prints what its comments say, every public function has a caller in the
-package or a line in that block, numpy and decimal are imported only
-where the import rule below allows, and the third-party imports are the
-declared runtime dependencies."""
+package or a line in that block, every module-level name is read, numpy
+and decimal are imported only where the import rule below allows, and
+the third-party imports are the declared runtime dependencies."""
 
 import ast
 import math
@@ -78,6 +78,34 @@ def test_public_functions_have_a_caller():
         and used[fn.name] == _names(fn)[fn.name] and not documented[fn.name]
     ]
     assert orphans == []
+
+
+def test_module_names_are_read():
+    # a module-level name that nothing in the package reads, such as a
+    # constant left behind by a cut of the code that used it, is dead: each
+    # is read in its own module, or elsewhere as an attribute or by import
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src" / "magneton").glob("*.py"))}
+    loads = {
+        stem: {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for stem, tree in trees.items()
+    }
+    shared = set()
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                shared.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                shared |= {a.name for a in node.names if (a.asname or a.name) in loads[stem]}
+    dead = [
+        f"{stem}.{name.id}"
+        for stem, tree in trees.items()
+        for top in tree.body
+        if isinstance(top, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in (top.targets if isinstance(top, ast.Assign) else [top.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id not in loads[stem] | shared
+    ]
+    assert dead == []
 
 
 def _imports() -> set[tuple[str, str | None, str]]:

@@ -209,29 +209,39 @@ def test_prime_sums_bitwise_equal_to_whole_array_sums(start, size, order, k_top)
 
 
 @pytest.mark.parametrize(
-    "k_max, cap",
+    "k_max, cap, multiplied",
     # Without skipping, 469,275,618 elements in 22,596 sums at the default
     # k_max.  Skipping right blocks above the leaves left 71,338,266 (15.2%)
     # in 3,435 sums, and 353,949,210 in 17,043 at the k ceiling; skipping
     # right halves inside the leaves too leaves 43,678,314 and 44,766,954.
-    [(taylor.DEFAULT_K_MAX, 0.65 * 71_338_266), (taylor._K_CEILING, 0.25 * 353_949_210)],
+    # The leaf passes multiply 58,592,012 and 59,694,092 elements.
+    [
+        (taylor.DEFAULT_K_MAX, 0.65 * 71_338_266, 58_592_012),
+        (taylor._K_CEILING, 0.25 * 353_949_210, 59_694_092),
+    ],
     ids=("default", "ceiling"),
 )
-def test_prime_sums_skip_absorbed_blocks(monkeypatch, k_max, cap):
-    # deterministic work counter: elements the leaf passes sum (every summed
-    # entry is positive, so a nonzero S entry is one sum) for the
-    # taylor-deep point
-    summed = []
+def test_prime_sums_skip_absorbed_blocks(monkeypatch, k_max, cap, multiplied):
+    # deterministic work counters for the taylor-deep point: elements the
+    # leaf passes sum (every summed entry is positive, so a nonzero S entry
+    # is one sum) and elements they multiply, which follow from each leaf's
+    # `need` and size: q^k up to the last needed k, and lp^n q^k up to the
+    # last needed n of each k
+    summed, products = [], []
     leaf = taylor._leaf_sums
 
     def counting(lp, need):
         S = leaf(lp, need)
         summed.append(len(lp) * np.count_nonzero(S))
+        k = np.flatnonzero(need.any(axis=0))
+        if len(k):
+            products.append(len(lp) * int(k[-1] + sum(np.flatnonzero(need[:, j])[-1] for j in k)))
         return S
 
     monkeypatch.setattr(taylor, "_leaf_sums", counting)
     taylor.compute_coefficients(20, 10**7, k_max)
     assert sum(summed) <= cap
+    assert sum(products) <= multiplied
 
 
 @pytest.mark.parametrize(
