@@ -16,9 +16,9 @@ panel end than the spacing of floats there is dropped, so no node lands on
 an end.
 
 `phi_numeric` splits [0, T] at the ordinates of the zeta zeros on the half
-line, found as sign changes of Hardy's Z(t) on a grid, bisected in
-lockstep to adjacent floats; a secant polish lets the bisection compute Z
-only next to each zero, for the same ordinates from half the kernel calls.
+line, found as sign changes of Hardy's Z(t) on a grid, bisected to
+adjacent floats; a secant polish lets the bisection compute Z only next
+to each zero, for the same ordinates from 16 calls of Z at T = 50, not 48.
 The log dips of the rho = 1/2 line then sit at panel ends, where the rule
 handles them, and so does the pole of the rho = 1 line at t = 0.
 The ordinates are hints, not an assumption: a panel holding a singularity
@@ -64,8 +64,8 @@ _Z_STEP = 0.25
 # The zero search polishes each bracket to at most this many ulp and computes
 # Z within as many ulp of it, far beyond the 3 ulp where rounding flips Z
 _POLISH_ULP = 64
-# a polish step bisects a bracket not halved in this many steps (over two,
-# the first secant steps were bisected: 24 calls of Z at T = 50, not 20)
+# a polish step bisects a bracket not halved in this many steps (at two,
+# the first secant steps are bisected: 21 calls of Z at T = 50, not 16)
 _HALVING_STEPS = 3
 # (line, abscissa) pairs per call, unless one abscissa has more lines open
 _PAIRS = 1024
@@ -252,25 +252,6 @@ def _hardy_z(t_max: float) -> Callable[[np.ndarray], np.ndarray]:
     return z
 
 
-def _bisect(
-    lo: np.ndarray, hi: np.ndarray, sign: np.ndarray, positive: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    """The left end of each bracket [lo, hi] of a sign change of `positive`,
-    whose value at lo is `sign`, bisected until its two ends are adjacent
-    floats.  All brackets step in lockstep, one call of `positive` per step,
-    and each ends where it ends alone.  The zero search's replay passes
-    signs it computes only near a polished bracket."""
-    lo, hi = lo.copy(), hi.copy()
-    while True:
-        mid = 0.5 * (lo + hi)
-        open_ = ((lo < mid) & (mid < hi)).nonzero()[0]
-        if not open_.size:
-            return lo
-        same = positive(mid[open_]) == sign[open_]
-        lo[open_[same]] = mid[open_[same]]
-        hi[open_[~same]] = mid[open_[~same]]
-
-
 def _polish(
     a: np.ndarray, b: np.ndarray, za: np.ndarray, zb: np.ndarray, width: np.ndarray, z: Callable
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -300,10 +281,12 @@ def _zero_ordinates(t_max: float) -> tuple[float, ...]:
     """Ordinates in (0, t_max) of the zeta zeros on the half line: each sign
     change of Z on a grid of step at most _Z_STEP, bisected until its two
     ends are adjacent floats.  `_polish` first shrinks each cell to a
-    bracket of at most _POLISH_ULP ulp; `_bisect` then replays the plain
-    search, computing Z (or recalling the polish's) only for a midpoint
-    within _POLISH_ULP ulp of its bracket, its reach, and giving one outside
-    the grid's sign on its side.  So the ordinates are the plain search's
+    bracket [a, b] of at most `width`, _POLISH_ULP ulp.  The plain
+    bisection of every cell is then replayed in rounds: a midpoint left of
+    its reach [a - width, b + width] moves the low end and one right of it
+    the high end, as the grid's signs on those sides would, until every
+    open midpoint lies in its reach; then one call of Z (or the polish's
+    values) gives all their signs.  So the ordinates are the plain search's
     wherever every computed sign change in a cell lies in its reach: each
     cell holds one zero (see _Z_STEP), and next to a zero below 200 the
     computed sign changes span at most 3 ulp (5 of the 79 zeros show more
@@ -320,23 +303,19 @@ def _zero_ordinates(t_max: float) -> tuple[float, ...]:
     zg = hardy(grid)
     signs = zg > 0.0
     at = np.flatnonzero(signs[1:] != signs[:-1])
-    width = _POLISH_ULP * np.spacing(grid[at + 1])
-    a, b = _polish(grid[at], grid[at + 1], zg[at], zg[at + 1], width, z)
-    reach_hi, sign = b + width, signs[at]
-    # per gap before a reach (and after the last): the grid's sign, the reach's start
-    gap_sign, reach_lo = np.append(sign, ~sign[-1:]), np.append(a - width, math.inf)
-
-    def positive(t: np.ndarray) -> np.ndarray:
-        # the first reach not left of t, counted: np.searchsorted would fault
-        # in 64 kB of numpy's code that nothing else here runs
-        k = (reach_hi < t[:, None]).sum(axis=1)
-        out, inside = gap_sign[k], np.flatnonzero(reach_lo[k] <= t)
-        if ask := [i for i in inside.tolist() if t[i] not in known]:
-            z(t[ask])
-        out[inside] = [known[x] for x in t[inside].tolist()]
-        return out
-
-    return tuple(_bisect(grid[at], grid[at + 1], sign, positive).tolist())
+    lo, hi, sign = grid[at], grid[at + 1], signs[at]
+    width = _POLISH_ULP * np.spacing(hi)
+    a, b = _polish(lo, hi, zg[at], zg[at + 1], width, z)
+    while (open_ := (lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
+        up, down = open_ & (mid < a - width), open_ & (b + width < mid)
+        if not (up | down).any():  # every open midpoint in its reach
+            t = mid[open_].tolist()
+            if ask := [x for x in t if x not in known]:
+                z(np.array(ask))
+            up[open_] = np.array([known[x] for x in t]) == sign[open_]
+            down = open_ & ~up
+        lo[up], hi[down] = mid[up], mid[down]
+    return tuple(lo.tolist())
 
 
 def phi_numeric_lines(

@@ -201,26 +201,40 @@ def test_zero_ordinates_pinned(t_max):
 
 
 def test_lockstep_bisection_equals_each_bracket_alone():
-    # one bracket bisected by itself with the same sign function, one
-    # midpoint per call, ends where the lockstep search ends it
+    # each of the search's own grid cells bisected by itself, with Z at
+    # every midpoint, one midpoint per call, ends where the search ends it
     z = quad._hardy_z(100.0)
-    positive = lambda t: z(t) > 0.0
-    grid = np.linspace(0.0, 100.0, 401)
-    signs = positive(grid)
+    n = math.ceil(100.0 / quad._Z_STEP)
+    grid = np.array([100.0 * k / n for k in range(n + 1)])
+    signs = z(grid) > 0.0
     at = np.flatnonzero(signs[1:] != signs[:-1])
-    together = quad._bisect(grid[at], grid[at + 1], signs[at], positive).tolist()
     alone = []
     for lo, hi, sign in zip(grid[at].tolist(), grid[at + 1].tolist(), signs[at].tolist()):
         mid = 0.5 * (lo + hi)
         while lo < mid < hi:
-            if positive(np.array([mid]))[0] == sign:
+            if (z(np.array([mid]))[0] > 0.0) == sign:
                 lo = mid
             else:
                 hi = mid
             mid = 0.5 * (lo + hi)
         alone.append(lo)
-    assert len(together) == 29
-    assert together == alone
+    assert len(alone) == 29
+    quad._zero_ordinates.cache_clear()
+    assert quad._zero_ordinates(100.0) == tuple(alone)
+
+
+def test_hardy_z_bits_do_not_depend_on_the_call():
+    # the search gathers the midpoints of many brackets into one call of Z,
+    # so the value at an abscissa must not depend on what else the call holds
+    rng = np.random.default_rng(28)
+    t = 200.0 - rng.uniform(0.0, 200.0, 500)  # in (0, 200]
+    z = quad._hardy_z(200.0)
+    whole = z(t)
+    one = np.concatenate([z(t[i : i + 1]) for i in range(t.size)])
+    order = rng.permutation(t.size)
+    shuffled = np.empty_like(whole)
+    shuffled[order] = z(t[order])
+    assert whole.tobytes() == one.tobytes() == shuffled.tobytes()
 
 
 def test_zero_search_evaluates_each_abscissa_once(monkeypatch):
@@ -290,10 +304,13 @@ def test_zero_search_equals_plain_bisection_through_sign_noise(monkeypatch, t_ma
     assert got == _plain_zero_ordinates(t_max)
 
 
-@pytest.mark.parametrize("t_max,calls,values", [(50.0, 24, 400), (200.0, 34, 2300)])
+@pytest.mark.parametrize(
+    "t_max,calls,values", [(50.0, 16, 332), (100.0, 16, 776), (200.0, 17, 1824)]
+)
 def test_zero_search_work(monkeypatch, t_max, calls, values):
-    # measured: 20 calls of Z for 332 values at T = 50, and 26 for 1,824 at
-    # T = 200; the plain bisection makes 48 calls for 656 and 4,259
+    # the caps are the measured counts: one call for the grid, one per polish
+    # step and one per replay round that needs Z; the plain bisection makes
+    # 48 calls for 656, 1,696 and 4,259 values
     sizes = []
     hardy_z = quad._hardy_z
 
