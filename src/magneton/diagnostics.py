@@ -1,19 +1,18 @@
 """Root finding for the symmetric well.
 
-The well equation zeta(x)^2 Gamma(x/2)/Gamma((x-1)/2) pi^(1-x) = 1 has
-two real crossings, x1 on (1.5, 1.7) and its mirror x2 = 2 - x1.  A
-deterministic bracketed root finder locates x1, and the defining residual
-is re-checked on every call.
+The well S(x) of `magneton.well_S` has two real crossings, x1 on
+(1.5, 1.7) and its mirror x2 = 2 - x1.  For x > 3/2, S is pi/2 times the
+log of the paper's well equation zeta(x)^2 Gamma(x/2)/Gamma((x-1)/2)
+pi^(1-x) = 1, so x1 is that equation's root.  A deterministic bracketed
+root finder locates x1 on S itself, and |S(x1)| is re-checked on every
+call.
 """
 
 from __future__ import annotations
 
-import math
-
-from . import specfun
+from . import magneton
 from .errors import ConvergenceError, DomainError
 
-_LN_PI = specfun.LN_PI
 _XTOL = 1e-12
 _MAX_ITER = 200
 
@@ -54,22 +53,12 @@ def find_root(f, a: float, b: float) -> float:
     return 0.5 * (a + b)
 
 
-def _well_log_equation(x: float) -> float:
-    # log form of zeta(x)^2 * Gamma(x/2)/Gamma((x-1)/2) * pi^(1-x) = 1
-    return (
-        2.0 * math.log(specfun.zeta(x))
-        + specfun.log_gamma(0.5 * x)
-        - specfun.log_gamma(0.5 * (x - 1.0))
-        + (1.0 - x) * _LN_PI
-    )
-
-
 def well_zeros() -> tuple[float, float]:
-    """The two crossings of the symmetric well: the root x1 of the closed
-    equation on (1.5, 1.7) and its mirror x2 = 2 - x1.  The defining
-    residual is re-verified below 1e-10 on every call."""
-    x1 = find_root(_well_log_equation, 1.5, 1.7)
-    residual = _well_log_equation(x1)
+    """The two crossings of the symmetric well: the root x1 of S on
+    (1.5, 1.7) and its mirror x2 = 2 - x1.  |S(x1)| is re-verified below
+    1e-10 on every call."""
+    x1 = find_root(magneton.well_S, 1.5, 1.7)
+    residual = magneton.well_S(x1)
     if abs(residual) > 1e-10:
         raise ConvergenceError(f"root residual {residual:.3g} above 1e-10")
     return x1, 2.0 - x1

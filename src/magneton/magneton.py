@@ -10,10 +10,10 @@ the default mode carries that assumption explicitly, and the strict mode
 refuses strip queries instead of silently assuming it.  phi(1/2) = 0 is
 exactly the statement being assumed.
 
-The derivative has jump discontinuities at rho = 0, 1/2 and 1, and these
-carry the arithmetic content: the jump at 1 is 4*pi, the (half) jump at
-1/2 encodes the first Li/Keiper coefficient, and a Volchkov-style
-combination of one-sided limits equals pi*(3 - gamma).
+The derivative jumps at rho = 0, 1/2 and 1.  At 0 and 1 its one-sided
+limits are its adjacent pieces at the point, and the jump at 1 is 4*pi.
+The jump at 1/2 is 2*pi*lambda_1, the first Li/Keiper coefficient, and a
+Volchkov-style combination of one-sided limits equals pi*(3 - gamma).
 """
 
 from __future__ import annotations
@@ -111,9 +111,15 @@ def field_E(rho, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
             f"phi' jumps at rho = {rho:g}; query field_E_onesided({rho:g}, '+') "
             "or ('-') instead"
         )
-    if rho > 1.0:
+    return _field(rho, True, mode)
+
+
+def _field(rho: float, right: bool, mode: RhMode) -> float:
+    """phi' on the piece that holds rho; at 0 and 1 `right` picks the
+    piece on the right of the point, so its value there is the limit."""
+    if rho > 1.0 or (rho == 1.0 and right):
         return PI * specfun.zeta_logderiv(rho + 0.5)
-    if rho < 0.0:
+    if rho < 0.0 or (rho == 0.0 and not right):
         return PI * (
             _LN_PI
             - specfun.zeta_logderiv(1.5 - rho)
@@ -135,8 +141,9 @@ def field_E(rho, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
 
 
 def field_E_onesided(point, side: str, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
-    """Closed-form one-sided limits of phi' at the three jump points.
-    side is '+' or '-'."""
+    """One-sided limits of phi' at the jump points, side '+' or '-': the
+    adjacent pieces of field_E at 0 and 1, and at 1/2 the paper's closed
+    pi*(1 + gamma) and pi*(ln(4*pi) - 1), which hold only under RH."""
     point = _check_finite(point)
     if side not in ("+", "-"):
         raise DomainError(f"side must be '+' or '-', got {side!r}")
@@ -150,26 +157,9 @@ def field_E_onesided(point, side: str, mode: RhMode = RhMode.CONDITIONAL_RH) -> 
         raise DomainError(
             f"the {side} limit at rho = {point:g} approaches through the strip"
         )
-    zl32 = specfun.zeta_logderiv(1.5)
-    if point == 1.0:
-        if side == "+":
-            return PI * zl32
-        return PI * (zl32 + 4.0)
     if point == 0.5:
-        if side == "+":
-            return PI * (1.0 + _GAMMA)
-        return PI * (math.log(4.0 * PI) - 1.0)
-    # point == 0
-    psi_plus = 0.5 * specfun.digamma(0.75)
-    if side == "+":
-        return PI * (
-            -specfun.reg_logderiv(1.5)
-            - 2.0
-            + _LN_PI
-            - psi_plus
-            - 0.5 * specfun.digamma(0.25)
-        )
-    return PI * (_LN_PI - zl32 - psi_plus + 0.5 * specfun.digamma(0.25))
+        return PI * (1.0 + _GAMMA) if side == "+" else PI * (math.log(4.0 * PI) - 1.0)
+    return _field(point, side == "+", mode)
 
 
 def richardson(sample, h: float = 1e-5) -> float:
@@ -178,31 +168,38 @@ def richardson(sample, h: float = 1e-5) -> float:
     return 2.0 * sample(0.5 * h) - sample(h)
 
 
-def numeric_jump_at_one(h: float = 1e-7) -> float:
-    """field_E just left of 1 minus just right of 1; tends to 4*pi as h -> 0."""
+def _field_step(point: float, toward: float, h: float) -> float:
+    """field_E at point + toward*h minus field_E at point - toward*h."""
     if not (0.0 < h < 0.25):
         raise DomainError(f"need 0 < h < 1/4, got {h!r}")
-    return field_E(1.0 - h) - field_E(1.0 + h)
+    return field_E(point + toward * h) - field_E(point - toward * h)
+
+
+def _verified(closed: float, numeric_jump, tol: float) -> float:
+    """closed, once the Richardson-extrapolated numeric_jump is within tol."""
+    extrapolated = richardson(numeric_jump)
+    if abs(extrapolated - closed) > tol:
+        raise CrossCheckError(
+            f"one-sided field limits give {extrapolated!r}, expected {closed!r}"
+        )
+    return closed
+
+
+def numeric_jump_at_one(h: float = 1e-7) -> float:
+    """field_E just left of 1 minus just right of 1; tends to 4*pi as h -> 0."""
+    return _field_step(1.0, -1.0, h)
 
 
 def jump_at_one() -> float:
     """The derivative jump phi'(1-) - phi'(1+) = 4*pi exactly.  Every call
     re-verifies the closed value against a Richardson-extrapolated pair of
     one-sided field differences."""
-    closed = 4.0 * PI
-    extrapolated = richardson(numeric_jump_at_one)
-    if abs(extrapolated - closed) > 1e-6:
-        raise CrossCheckError(
-            f"one-sided field limits give {extrapolated!r}, expected 4*pi"
-        )
-    return closed
+    return _verified(4.0 * PI, numeric_jump_at_one, 1e-6)
 
 
 def numeric_jump_at_zero(h: float = 1e-7) -> float:
     """field_E just right of 0 minus just left of 0."""
-    if not (0.0 < h < 0.25):
-        raise DomainError(f"need 0 < h < 1/4, got {h!r}")
-    return field_E(h) - field_E(-h)
+    return _field_step(0.0, 1.0, h)
 
 
 def jump_at_zero() -> float:
@@ -210,12 +207,7 @@ def jump_at_zero() -> float:
     about 0.714566.  Orientation is phi'(0+) - phi'(0-), fixed by matching
     the numeric one-sided limits.  Verified on every call."""
     closed = PI * (-4.0 + _GAMMA + 3.0 * math.log(2.0) + 0.5 * PI)
-    extrapolated = richardson(numeric_jump_at_zero)
-    if abs(extrapolated - closed) > 1e-4:
-        raise CrossCheckError(
-            f"one-sided field limits give {extrapolated!r}, expected {closed!r}"
-        )
-    return closed
+    return _verified(closed, numeric_jump_at_zero, 1e-4)
 
 
 def slope_at_half() -> float:

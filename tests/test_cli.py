@@ -12,7 +12,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from magneton import cli, diagnostics, magneton, quad, specfun, taylor
+from magneton import cli, magneton, quad, specfun, taylor
 from magneton.errors import ConvergenceError, CrossCheckError, DomainError, MagnetonError
 
 GAMMA = 0.5772156649015328606065
@@ -434,14 +434,15 @@ def test_constants(capsys):
 
 
 # the real-kernel calls each closed command makes on its default grid
-_KERNEL_CALLS = {"figure phi": 500, "figure field": 624, "figure well": 100, "figure xi": 101, "constants": 36}
+_KERNEL_CALLS = {"figure phi": 500, "figure field": 624, "figure well": 100, "figure xi": 101, "constants": 35}
 
 
 @pytest.mark.parametrize("command", sorted(_KERNEL_CALLS))
 def test_closed_commands_use_only_the_real_kernel(monkeypatch, capsys, command):
     # one real-kernel call per evaluated row or constant: well_S evaluates
-    # both potential halves of its row from one call, and phi_closed (0.5)
-    # and well_S (1.0) return 0 without one; none of the numpy kernel
+    # both potential halves of its row (and of each step of the well's root
+    # search) from one call; phi_closed(0.5), well_S(1.0) and the closed
+    # limits field_E_onesided(0.5, .) make none; none of the numpy kernel
     calls = collections.Counter()
 
     def count(module, name, key=None):
@@ -458,14 +459,15 @@ def test_closed_commands_use_only_the_real_kernel(monkeypatch, capsys, command):
     count(specfun, "_reg_lines")
     count(magneton, "phi_closed", key=lambda rho, *_: "phi_half" if rho == 0.5 else "phi_closed")
     count(magneton, "well_S", key=lambda x, *_: "well_one" if x == 1.0 else "well_S")
-    for module, name in ((magneton, "field_E"), (magneton, "field_E_onesided"),
-                         (specfun, "xi"), (diagnostics, "_well_log_equation")):
-        count(module, name)
+    count(magneton, "field_E_onesided",
+          key=lambda point, *_: "onesided_half" if point == 0.5 else "field_E_onesided")
+    count(magneton, "field_E")
+    count(specfun, "xi")
     code, _, _ = run(command.split(), capsys)
     assert code == 0
     assert calls["_reg_lines"] == 0
     evaluations = sum(calls[k] for k in ("phi_closed", "well_S", "field_E", "field_E_onesided",
-                                         "xi", "_well_log_equation"))
+                                         "xi"))
     assert calls["_reg_real"] == evaluations == _KERNEL_CALLS[command], dict(calls)
 
 

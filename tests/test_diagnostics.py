@@ -30,6 +30,26 @@ def test_xi_magnitude_at_crossing():
     assert abs(abs(specfun.xi(x1)) - XI_AT_X1) < 1e-9
 
 
+def _well_log_equation(x):
+    # the paper's well equation zeta(x)^2 Gamma(x/2)/Gamma((x-1)/2) pi^(1-x) = 1, in logs
+    return (
+        2.0 * math.log(specfun.zeta(x))
+        + specfun.log_gamma(0.5 * x)
+        - specfun.log_gamma(0.5 * (x - 1.0))
+        + (1.0 - x) * specfun.LN_PI
+    )
+
+
+def test_well_is_the_well_equation():
+    # for x > 3/2 neither half of S touches the strip, and S is pi/2 times
+    # the log form; measured max 8.9e-16 on this grid
+    xs = [1.5 + 1.5 * (k + 1) / 2000 for k in range(2000)]
+    worst = max(abs(mg.well_S(x) - 0.5 * math.pi * _well_log_equation(x)) for x in xs)
+    assert worst <= 4e-15
+    # so both locate the same root, bit for bit
+    assert diagnostics.find_root(_well_log_equation, 1.5, 1.7) == diagnostics.well_zeros()[0]
+
+
 def test_find_root_simple():
     root = diagnostics.find_root(math.cos, 1.0, 2.0)
     assert abs(root - 0.5 * math.pi) < 1e-12

@@ -137,6 +137,19 @@ def test_onesided_closed_values():
     assert mg.field_E_onesided(0.5, "-") == math.pi * (math.log(4.0 * math.pi) - 1.0)
     gap = mg.field_E_onesided(1.0, "-") - mg.field_E_onesided(1.0, "+")
     assert abs(gap - 4.0 * math.pi) < 1e-12
+    # at 0 and 1 the limits are field_E's adjacent pieces at the point; they
+    # equal the hand-written limit formulas bit for bit
+    zl32 = specfun.zeta_logderiv(1.5)
+    psi_plus = 0.5 * specfun.digamma(0.75)
+    pi, ln_pi = math.pi, specfun.LN_PI
+    assert mg.field_E_onesided(1.0, "+") == pi * zl32
+    assert mg.field_E_onesided(1.0, "-") == pi * (zl32 + 4.0)
+    assert mg.field_E_onesided(0.0, "-") == pi * (
+        ln_pi - zl32 - psi_plus + 0.5 * specfun.digamma(0.25)
+    )
+    assert mg.field_E_onesided(0.0, "+") == pi * (
+        -specfun.reg_logderiv(1.5) - 2.0 + ln_pi - psi_plus - 0.5 * specfun.digamma(0.25)
+    )
 
 
 def test_jump_at_one():

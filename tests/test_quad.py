@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from magneton import quad, specfun
+from magneton import magneton, quad, specfun
 from magneton.errors import ConvergenceError, DomainError
 
 # Frozen half-line averages at t_max = 50, computed independently at 20
@@ -634,6 +634,37 @@ def test_truncation_drift_50_vs_100():
         assert drift <= max(0.5 - rho, 0.0) * 0.0239 + 1.5e-3, (rho, drift)
         if rho >= 0.5:
             assert drift < 5e-3
+
+
+@pytest.mark.parametrize("t_max", [50.0, 100.0])
+def test_quadrature_kinks_are_the_papers_jumps(t_max):
+    # the kink phi_T'(p+) - phi_T'(p-) of the truncated average, from
+    # second-order one-sided differences K(h) with h = 1e-3, Richardson-
+    # extrapolated as (4K(h/2) - K(h))/3.  Each zero 1/2 + i*gamma below T
+    # adds 2*pi/(1/4 + gamma^2) at 1/2, the pole adds -4*pi at 1, and no
+    # charge lies on Re s = 0.  Measured at both heights: +1.54e-9 from the
+    # zero sum at 1/2, +2.50e-8 from -4*pi at 1, 2.0e-10 at 0.
+    cfg = quad.QuadratureConfig(t_max=t_max, abs_tol=1e-12)
+    h = 1e-3
+
+    def kink(p):
+        offsets = (0.0, 0.5 * h, -0.5 * h, h, -h, 2.0 * h, -2.0 * h)
+        phi = dict(zip(offsets, (r.value for r in quad.phi_numeric_lines(
+            [p + d for d in offsets], cfg))))
+
+        def k(e):
+            return (4.0 * (phi[e] + phi[-e]) - (phi[2.0 * e] + phi[-2.0 * e])
+                    - 6.0 * phi[0.0]) / (2.0 * e)
+
+        return (4.0 * k(0.5 * h) - k(h)) / 3.0
+
+    zero_sum = sum(1.0 / (0.25 + g * g) for g in quad._zero_ordinates(t_max))
+    at_half = kink(0.5)
+    assert abs(at_half - 2.0 * math.pi * zero_sum) <= 1e-8
+    # the truncated kink approaches the paper's 2*pi*lambda_1 from below
+    assert at_half < 2.0 * math.pi * magneton.lambda_one()
+    assert abs(kink(1.0) + magneton.jump_at_one()) <= 1e-7
+    assert abs(kink(0.0)) <= 1e-8
 
 
 def _lorentz_closed(alpha: float, beta: float, mu: float) -> float:
