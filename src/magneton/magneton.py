@@ -168,11 +168,11 @@ def richardson(sample, h: float = 1e-5) -> float:
     return 2.0 * sample(0.5 * h) - sample(h)
 
 
-def _field_step(point: float, toward: float, h: float) -> float:
-    """field_E at point + toward*h minus field_E at point - toward*h."""
+def _field_step(point: float, h: float) -> float:
+    """field_E at point + h minus field_E at point - h."""
     if not (0.0 < h < 0.25):
         raise DomainError(f"need 0 < h < 1/4, got {h!r}")
-    return field_E(point + toward * h) - field_E(point - toward * h)
+    return field_E(point + h) - field_E(point - h)
 
 
 def _verified(closed: float, numeric_jump, tol: float) -> float:
@@ -187,7 +187,7 @@ def _verified(closed: float, numeric_jump, tol: float) -> float:
 
 def numeric_jump_at_one(h: float = 1e-7) -> float:
     """field_E just left of 1 minus just right of 1; tends to 4*pi as h -> 0."""
-    return _field_step(1.0, -1.0, h)
+    return -_field_step(1.0, h)
 
 
 def jump_at_one() -> float:
@@ -199,7 +199,7 @@ def jump_at_one() -> float:
 
 def numeric_jump_at_zero(h: float = 1e-7) -> float:
     """field_E just right of 0 minus just left of 0."""
-    return _field_step(0.0, 1.0, h)
+    return _field_step(0.0, h)
 
 
 def jump_at_zero() -> float:
