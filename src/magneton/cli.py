@@ -30,11 +30,12 @@ _JUMP_OFFSET = 1e-6
 # Most rows one rho list or figure grid may hold; counted before anything
 # is allocated, so a tiny step is refused instead of exhausting memory.
 _MAX_ROWS = 1_000_000
-# The defaults of quad.QuadratureConfig and of taylor.compute_coefficients,
-# restated so that building the parser imports neither module (a test
-# keeps the two in step); the table and taylor commands import them.
+# The defaults of quad.QuadratureConfig and taylor.compute_coefficients and
+# taylor's highest exact order, restated so that the parser and a refused
+# order import neither module (a test keeps them in step).
 _TABLE_DEFAULTS = {"t_max": 50.0, "abs_tol": 1e-8, "max_depth": 40}
 _TAYLOR_DEFAULTS = {"order": 13, "prime_limit": 10**6, "k_max": 60}
+_MAX_ORDER = 20
 _RH_MODES = {
     "conditional": magneton.RhMode.CONDITIONAL_RH,
     "outside-only": magneton.RhMode.OUTSIDE_STRIP_ONLY,
@@ -262,13 +263,7 @@ def cmd_constants(args) -> int:
     # cross-check, tolerance, strip tag
     entries = [
         ("jump_at_one", magneton.jump_at_one(), magneton.numeric_jump_at_one(), 1e-4, "strip"),
-        (
-            "jump_at_zero",
-            math.pi * (-4.0 + _GAMMA + 3.0 * math.log(2.0) + 0.5 * math.pi),
-            magneton.numeric_jump_at_zero(),
-            1e-4,
-            "strip",
-        ),
+        ("jump_at_zero", magneton.JUMP_AT_ZERO, magneton.numeric_jump_at_zero(), 1e-4, "strip"),
         (
             "lambda_one",
             magneton.lambda_one(),
@@ -314,8 +309,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_taylor(args) -> int:
-    if args.order < 0 or args.order > 20:
-        raise DomainError(f"order must be in [0, 20], got {args.order}")
+    if not 0 <= args.order <= _MAX_ORDER:
+        raise DomainError(f"order must be in [0, {_MAX_ORDER}], got {args.order}")
     from . import taylor  # numpy starts loading here (see cmd_table)
 
     coeffs = taylor.compute_coefficients(

@@ -29,6 +29,7 @@ _LN_PI = specfun.LN_PI
 PI = math.pi
 
 JUMP_POINTS = (0.0, 0.5, 1.0)
+JUMP_AT_ZERO = PI * (-4.0 + _GAMMA + 3.0 * math.log(2.0) + 0.5 * PI)
 
 
 class RhMode(Enum):
@@ -172,6 +173,8 @@ def _field_step(point: float, h: float) -> float:
     """field_E at point + h minus field_E at point - h."""
     if not (0.0 < h < 0.25):
         raise DomainError(f"need 0 < h < 1/4, got {h!r}")
+    if point - h == point or point + h == point:  # a step onto the jump itself
+        raise DomainError(f"h = {h!r} rounds away at rho = {point:g}; need h > {math.ulp(point) / 2:.3g}")
     return field_E(point + h) - field_E(point - h)
 
 
@@ -203,11 +206,10 @@ def numeric_jump_at_zero(h: float = 1e-7) -> float:
 
 
 def jump_at_zero() -> float:
-    """The derivative jump at rho = 0: pi*(-4 + gamma + 3*ln 2 + pi/2),
-    about 0.714566.  Orientation is phi'(0+) - phi'(0-), fixed by matching
-    the numeric one-sided limits.  Verified on every call."""
-    closed = PI * (-4.0 + _GAMMA + 3.0 * math.log(2.0) + 0.5 * PI)
-    return _verified(closed, numeric_jump_at_zero, 1e-4)
+    """The derivative jump at rho = 0, JUMP_AT_ZERO = pi*(-4 + gamma +
+    3*ln 2 + pi/2), about 0.714566.  Orientation is phi'(0+) - phi'(0-),
+    fixed by matching the numeric one-sided limits.  Verified on every call."""
+    return _verified(JUMP_AT_ZERO, numeric_jump_at_zero, 1e-4)
 
 
 def slope_at_half() -> float:

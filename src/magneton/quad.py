@@ -53,7 +53,6 @@ from . import specfun
 from .errors import ConvergenceError, DomainError
 
 _MAX_NODES = 2**16
-_ZERO_FLOOR = 1e-300  # a |zeta| below this is a zero hit
 # pi/2 sinh(3.5) = 26, so a node past it would lie within 3e-23 panel
 # widths of its end: what the outer nodes leave out is far below the
 # rounding term, even beside a log singularity
@@ -215,20 +214,16 @@ def _zeta_lines(rhos: list[float], t_top: float) -> Callable[[np.ndarray, np.nda
     """ln|zeta| on the lines rho = rhos[i] at once, as `log_abs(t, lines)`:
     the (lines, t) array of ln|zeta(rhos[i] + it)| for the indices i in
     `lines` and a 1-D array of abscissae |t| <= t_top, from the values of
-    `specfun._reg_lines`.  A |zeta| below _ZERO_FLOOR maps to -inf, a zero
-    hit."""
+    `specfun._reg_lines`.  Only an exact zero logs to -inf: on a zero below
+    200 the computed |zeta| is at least 1.5e-15, far above underflow."""
     kern = specfun._reg_lines(rhos, t_top)
 
     def log_abs(t: np.ndarray, lines: np.ndarray) -> np.ndarray:
         s, reg, _ = kern(t, lines)
         # next to the pole (rho = 1, t ~ 1e-308) the quotient overflows to
-        # inf, which the integration refuses as a non-finite value
-        with np.errstate(over="ignore"):
-            az = np.abs(reg / (s - 1.0))
-        out = np.full(s.shape, -math.inf)
-        hit = az >= _ZERO_FLOOR
-        out[hit] = np.log(az[hit])
-        return out
+        # inf; the integration refuses it, like -inf, as a non-finite value
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.log(np.abs(reg / (s - 1.0)))
 
     return log_abs
 

@@ -18,7 +18,7 @@ pass over power series in s - 3/2 gives every zeta^(k)(3/2)/k! at once,
 and one more at 3/4 + 30 gives ln Gamma, psi and the Hurwitz zeta values
 of the gamma factor, each to within a stated bound.  It runs on the
 standard library's decimal at 50 decimal digits (see _DPS for why that
-many) and needs no mpmath.
+many), needs no mpmath, and refuses an order outside 0.._MAX_ORDER.
 
 Evaluating the series rearranged at x = 1 recovers ln|xi(1)| = 0 through
 a near-total cancellation, and its slope estimates the first Li/Keiper
@@ -41,6 +41,7 @@ _LN_PI = specfun.LN_PI
 # near 1.3e23, and the value at one cancels O(1) terms again down to 3e-32:
 # at 40 digits the order-20 value kept 10 correct digits, at 50 it keeps 19.
 _DPS = 50
+_MAX_ORDER = 20  # the exact route's reach at _DPS digits: C_22 is off by 3.7e-15
 # pi to 80 decimals, past any precision the exact route or its tests use
 _PI = "3.14159265358979323846264338327950288419716939937510582097494459230781640628620899"
 DEFAULT_PRIME_LIMIT = 10**6
@@ -456,7 +457,7 @@ def _zeta_taylor(order: int, terms: int) -> list:
     with N = M = terms and (s)_m = s(s+1)...(s+m-1), as Decimals at the
     precision of the current decimal context.  Beside rounding, every f_k
     is within exp(_em_log_bound(terms)) of the truth."""
-    from decimal import Decimal  # see compute_coefficients_exact
+    from decimal import Decimal  # see _coefficients
 
     # ln n: Decimal.ln on the primes, a composite as the sum of the logs of
     # its least factor and its cofactor
@@ -512,7 +513,7 @@ def _gamma_values(order: int, terms: int) -> list:
     terms, as Decimals at the precision of the current decimal context.
     Beside rounding, value s is within exp(_gamma_log_bound(s, terms)) of
     the truth."""
-    from decimal import Decimal  # see compute_coefficients_exact
+    from decimal import Decimal  # see _coefficients
 
     x = Decimal(4 * terms + 3) / 4  # exact
     x_pow = [Decimal(1), 1 / x]  # X^-i
@@ -543,51 +544,49 @@ def _gamma_values(order: int, terms: int) -> list:
     return out
 
 
-def _coefficients(order: int) -> list:
-    """C_0..C_order as Decimals at the precision of the current decimal
-    context, from f_k = zeta^(k)(3/2)/k! of _zeta_taylor and the values g
-    of _gamma_values."""
-    from decimal import Decimal  # see compute_coefficients_exact
-
-    f = _zeta_taylor(order, _EM_TERMS)
-    g = _gamma_values(order, _EM_TERMS)
-    # series coefficients G of ln(sum f_k u^k): n G_n = n f_n/f_0 - sum j G_j f_(n-j)/f_0
-    big_g = [f[0].ln()]
-    for n in range(1, order + 1):
-        acc = n * f[n] / f[0]
-        for j in range(1, n):
-            acc -= j * big_g[j] * f[n - j] / f[0]
-        big_g.append(acc / n)
-    ln_pi = Decimal(_PI).ln()
-    three_quarters = Decimal("0.75")
-    # ln(3/2) + ln(1/2) = ln(3/4)
-    out = [three_quarters.ln() + g[0] - three_quarters * ln_pi + big_g[0]]
-    for n in range(1, order + 1):
-        # the n-th derivative of ln Gamma(x/2) at 3/2 is psi^(n-1)(3/4)/2^n,
-        # and psi^(m)(x) = (-1)^(m+1) m! zeta(m+1, x) for m >= 1
-        gamma_part = g[1] if n == 1 else (-1) ** n * math.factorial(n - 1) * g[n]
-        # (-1)^(n-1) (n-1)! (2^n + (2/3)^n), from ln x + ln(x - 1)
-        rational = Decimal((-1) ** (n - 1) * math.factorial(n - 1) * 2**n * (3**n + 1)) / 3**n
-        val = math.factorial(n) * big_g[n] + rational + gamma_part / 2**n
-        if n == 1:
-            val -= ln_pi / 2
-        out.append(val)
-    return out
-
-
-def compute_coefficients_exact(order: int) -> tuple:
-    """Reference route: C_0..C_order from _coefficients at _DPS digits (no
-    primes).  Used as the cross-check oracle for the prime route and for
-    the deep-cancellation sums the prime route cannot support."""
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order!r}")
+def _coefficients(order: int) -> tuple:
+    """The exact route: C_0..C_order as Decimals at _DPS digits, from
+    f_k = zeta^(k)(3/2)/k! of _zeta_taylor and the values g of
+    _gamma_values, and their Rearranged sums at x = 1 at the same digits."""
+    if not 0 <= order <= _MAX_ORDER:
+        raise DomainError(f"order must be in [0, {_MAX_ORDER}], got {order!r}")
     # decimal is imported in the functions of this route, so that it loads
     # after the prime sums: loaded first it would add 0.4 MB to the 34 MB
     # peak RSS of `taylor --order 20 --prime-limit 9999944`
-    from decimal import Context, localcontext
+    from decimal import Context, Decimal, localcontext
 
     with localcontext(Context(prec=_DPS)):
-        return tuple(float(v) for v in _coefficients(order))
+        f = _zeta_taylor(order, _EM_TERMS)
+        g = _gamma_values(order, _EM_TERMS)
+        # series coefficients G of ln(sum f_k u^k): n G_n = n f_n/f_0 - sum j G_j f_(n-j)/f_0
+        big_g = [f[0].ln()]
+        for n in range(1, order + 1):
+            acc = n * f[n] / f[0]
+            for j in range(1, n):
+                acc -= j * big_g[j] * f[n - j] / f[0]
+            big_g.append(acc / n)
+        ln_pi = Decimal(_PI).ln()
+        three_quarters = Decimal("0.75")
+        # ln(3/2) + ln(1/2) = ln(3/4)
+        out = [three_quarters.ln() + g[0] - three_quarters * ln_pi + big_g[0]]
+        for n in range(1, order + 1):
+            # the n-th derivative of ln Gamma(x/2) at 3/2 is psi^(n-1)(3/4)/2^n,
+            # and psi^(m)(x) = (-1)^(m+1) m! zeta(m+1, x) for m >= 1
+            gamma_part = g[1] if n == 1 else (-1) ** n * math.factorial(n - 1) * g[n]
+            # (-1)^(n-1) (n-1)! (2^n + (2/3)^n), from ln x + ln(x - 1)
+            rational = Decimal((-1) ** (n - 1) * math.factorial(n - 1) * 2**n * (3**n + 1)) / 3**n
+            val = math.factorial(n) * big_g[n] + rational + gamma_part / 2**n
+            if n == 1:
+                val -= ln_pi / 2
+            out.append(val)
+        return out, _rearranged(out, order, Decimal("-0.5"), sum, math.factorial)
+
+
+def compute_coefficients_exact(order: int) -> tuple:
+    """Reference route: C_0..C_order from _coefficients, rounded to floats
+    (no primes).  Used as the cross-check oracle for the prime route and for
+    the deep-cancellation sums the prime route cannot support."""
+    return tuple(float(v) for v in _coefficients(order)[0])
 
 
 def _rearranged(c, k: int, half, fsum, factorial) -> Rearranged:
@@ -612,15 +611,9 @@ def rearranged_at_one(c, k_terms: int) -> Rearranged:
 
 
 def rearranged_at_one_exact(order: int) -> Rearranged:
-    """Rearranged sums at x = 1 carried out entirely at _DPS digits, then
-    rounded once at the end.  The value is a cancellation of
-    coefficient-sized terms down past 1e-20, which double-rounded
-    coefficients cannot resolve (their rounding alone leaves a floor of a
-    few 1e-18); this route exists for exactly that quantity."""
-    if order < 0:
-        raise DomainError(f"order must be >= 0, got {order!r}")
-    from decimal import Context, Decimal, localcontext  # see compute_coefficients_exact
-
-    with localcontext(Context(prec=_DPS)):
-        r = _rearranged(_coefficients(order), order, Decimal("-0.5"), sum, math.factorial)
-        return Rearranged._make(float(v) for v in r)
+    """Rearranged sums at x = 1 carried out entirely at _DPS digits by
+    _coefficients, then rounded once at the end.  The value is a
+    cancellation of coefficient-sized terms down past 1e-20, which
+    double-rounded coefficients cannot resolve (their rounding alone leaves
+    a floor of a few 1e-18); this route exists for exactly that quantity."""
+    return Rearranged._make(float(v) for v in _coefficients(order)[1])

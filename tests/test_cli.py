@@ -488,7 +488,11 @@ def test_taylor_cmd(capsys):
 def test_taylor_order_cap(capsys):
     code, _, err = run(["taylor", "--order", "21"], capsys)
     assert code == 2
-    assert "order" in err
+    assert err == "error: order must be in [0, 20], got 21\n"
+    # refused before numpy loads
+    probe = "import sys; from magneton.cli import main; print(main(), 'numpy' in sys.modules)"
+    proc = run_entry("taylor", "--order", "21", code=probe)
+    assert proc.stdout.split() == ["2", "False"], proc.stderr
 
 
 def test_taylor_k_max_ceiling(capsys):
@@ -513,6 +517,8 @@ def test_parser_defaults_are_the_modules_defaults():
     assert (table.t_max, table.tol, table.max_depth) == (cfg.t_max, cfg.abs_tol, cfg.max_depth)
     report = cli.build_parser().parse_args(["taylor"])
     assert (report.prime_limit, report.k_max) == (taylor.DEFAULT_PRIME_LIMIT, taylor.DEFAULT_K_MAX)
+    # and the exact route's reach, which cmd_taylor checks before importing taylor
+    assert cli._MAX_ORDER == taylor._MAX_ORDER
 
 
 def test_taylor_nan_budget(capsys):

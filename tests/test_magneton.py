@@ -158,13 +158,20 @@ def test_jump_at_one():
     assert abs(mg.numeric_jump_at_one(1e-7) - 4.0 * math.pi) < 1e-4
     with pytest.raises(DomainError):
         mg.numeric_jump_at_one(0.3)
+    # 1 + 1e-16 == 1, so the difference would query field_E on the jump;
+    # at 1 the step survives rounding from h > 2^-53 on
+    for h in (1e-16, 1e-17):
+        with pytest.raises(DomainError, match=rf"^h = {h!r} rounds away at rho = 1; need h > 1.11e-16$"):
+            mg.numeric_jump_at_one(h)
+    assert mg.numeric_jump_at_one(1.2e-16) == 12.566370614359167
 
 
 def test_jump_at_zero():
     closed = math.pi * (-4.0 + GAMMA + 3.0 * math.log(2.0) + 0.5 * math.pi)
-    assert mg.jump_at_zero() == closed
+    assert mg.jump_at_zero() == mg.JUMP_AT_ZERO == closed
     assert abs(closed - 0.714566) < 1e-6
     assert abs(mg.numeric_jump_at_zero(1e-7) - closed) < 1e-4
+    assert mg.numeric_jump_at_zero(1e-300) == 0.7145663494879204  # 0 +- h never rounds away
     # the Euler constant enters linearly with coefficient pi
     without_gamma = math.pi * (-4.0 + 3.0 * math.log(2.0) + 0.5 * math.pi)
     assert abs(mg.jump_at_zero() - without_gamma - math.pi * GAMMA) < 1e-12

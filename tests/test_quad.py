@@ -396,12 +396,27 @@ def test_line_kernel_matches_scalar(rng, rho):
 
 
 def test_line_kernel_error_signals(monkeypatch):
-    # a modulus below the floor is a zero hit and maps to -inf: the trivial
-    # zero at s = -2 and the first nontrivial one
-    for rho, t, floor in ((-2.0, 0.0, 1e-10), (0.5, 14.134725141734693, 1e-12)):
-        monkeypatch.setattr(quad, "_ZERO_FLOOR", floor)
-        got = quad._zeta_lines([rho], t + 1.0)(np.array([t, t + 1.0]), np.zeros(1, dtype=np.intp))[0]
-        assert got[0] == -math.inf and math.isfinite(got[1])
+    # on a zero the computed modulus stays far above underflow, so ln|zeta|
+    # needs no floor: the trivial zero at s = -2 and the first nontrivial one
+    one = np.zeros(1, dtype=np.intp)
+    for rho, t, want in ((-2.0, 0.0, -27.44), (0.5, 14.134725141734693, -33.93)):
+        got = quad._zeta_lines([rho], t + 1.0)(np.array([t]), one)[0, 0]
+        assert got == pytest.approx(want, abs=5e-3)
+
+    # an exact zero of the kernel's sum logs to -inf, which the integration
+    # refuses as a non-finite value
+    def zero_kernel(rhos, t_top):
+        def kern(t, lines):
+            s = np.array(rhos)[lines, None] + 1j * t
+            return s, np.zeros(s.shape, dtype=complex), None
+
+        return kern
+
+    monkeypatch.setattr(specfun, "_reg_lines", zero_kernel)
+    log_abs = quad._zeta_lines([2.0], 50.0)
+    assert (log_abs(np.array([1.0, 2.0]), one) == -math.inf).all()
+    with pytest.raises(ConvergenceError, match=r"^non-finite integrand on panel \[0, 50\]$"):
+        quad._integrate(log_abs, [0.0, 50.0], quad.QuadratureConfig())
 
 
 def test_phi_numeric_left_of_strip():

@@ -54,7 +54,7 @@ def test_readme_library_block():
         if number and code.strip() in values:
             assert repr(values[code.strip()]) == number[1], line
             stated += 1
-    assert stated == 4
+    assert stated == 5
     closed = values["magneton.phi_closed(2.0)"]
     assert f"{abs(values['quad.phi_numeric(2.0).value'] - closed):.0e}" == "5e-05"
     assert values["quad.phi_numeric_lines([0.5, 2.0])"] == [quad.phi_numeric(0.5), quad.phi_numeric(2.0)]
@@ -64,18 +64,64 @@ def test_readme_library_block():
     assert abs(slope - values["magneton.lambda_one()"]) <= 1e-16
 
 
+def _bound(fn: ast.AST) -> set[str]:
+    """The names a function binds for itself: parameters, stores, imports
+    and nested definitions, those of its nested functions included."""
+    out = set()
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.alias):
+            out.add(node.asname or node.name)
+        elif isinstance(node, ast.FunctionDef) and node is not fn:
+            out.add(node.name)
+        elif isinstance(node, ast.arg):
+            out.add(node.arg)
+    return out
+
+
+def _uses(node: ast.AST, stem: str, top=None, shadowed=frozenset()):
+    """(kind, name, module, top) for each use of a name below `node` in
+    module `stem`: kind "attr" for an attribute read, "import" for a name
+    imported from `module` of the package, "bare" for a bare read that no
+    enclosing function binds; `top` is the enclosing top-level function."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, (ast.FunctionDef, ast.Lambda)):
+            inner = top or getattr(sub, "name", None)
+            yield from _uses(sub, stem, inner, shadowed | _bound(sub))
+            continue
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            yield "attr", sub.attr, None, top
+        elif isinstance(sub, ast.ImportFrom) and sub.module:  # from .cli or magneton.cli
+            yield from (("import", a.name, sub.module.removeprefix("magneton."), top) for a in sub.names)
+        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load) and sub.id not in shadowed:
+            yield "bare", sub.id, stem, top
+        yield from _uses(sub, stem, top, shadowed)
+
+
 def test_public_functions_have_a_caller():
     # a public function that nothing in the package uses and README's
-    # Library block does not name is surface only the tests reach
-    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src" / "magneton").glob("*.py"))]
-    used = sum((_names(tree) for tree in trees), Counter())
+    # Library block does not name is surface only the tests reach.  A use
+    # is an attribute read, an import into another module, or a bare read
+    # in its own module where no local of that name shadows it; a function
+    # does not use itself
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted((ROOT / "src" / "magneton").glob("*.py"))}
+    uses = {(where, *use) for where, tree in trees.items() for use in _uses(tree, where)}
     documented = _names(ast.parse(_library_block()))
+
+    def used(stem: str, fn: str) -> bool:
+        return any(
+            name == fn and (where, top) != (stem, fn)
+            and (kind == "attr" or module == stem and (kind == "bare") == (where == stem))
+            for where, kind, name, module, top in uses
+        )
+
     orphans = [
-        fn.name
-        for tree in trees
+        f"{stem}.{fn.name}"
+        for stem, tree in trees.items()
         for fn in tree.body
         if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-        and used[fn.name] == _names(fn)[fn.name] and not documented[fn.name]
+        and not used(stem, fn.name) and not documented[fn.name]
     ]
     assert orphans == []
 

@@ -103,8 +103,12 @@ def test_compute_validation():
         taylor.compute_coefficients(3, 10**6, k_max=717)
     with pytest.raises(DomainError, match="nan"):
         taylor.compute_coefficients(3, 10**6, tail_budget=math.nan)
-    with pytest.raises(DomainError):
-        taylor.compute_coefficients_exact(-2)
+    # the exact route's reach, with the taylor command's message: at 50
+    # digits C_22 is off by 3.7e-15 and C_40 reads -6.4e10 for 3.42
+    for order in (-2, -1, 21, 40):
+        for exact in (taylor.compute_coefficients_exact, taylor.rearranged_at_one_exact):
+            with pytest.raises(DomainError, match=rf"^order must be in \[0, 20\], got {order}$"):
+                exact(order)
 
 
 @pytest.mark.parametrize("budget", [0.0, -0.0, -1.0, -math.inf])
