@@ -262,7 +262,7 @@ def cmd_constants(args) -> int:
     # name, analytic (or published reference for the roots), numeric
     # cross-check, tolerance, strip tag
     entries = [
-        ("jump_at_one", magneton.jump_at_one(), magneton.numeric_jump_at_one(), 1e-4, "strip"),
+        ("jump_at_one", magneton.JUMP_AT_ONE, magneton.numeric_jump_at_one(), 1e-4, "strip"),
         ("jump_at_zero", magneton.JUMP_AT_ZERO, magneton.numeric_jump_at_zero(), 1e-4, "strip"),
         (
             "lambda_one",

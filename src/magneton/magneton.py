@@ -22,13 +22,15 @@ import math
 from enum import Enum
 
 from . import specfun
-from .errors import CrossCheckError, DomainError
+from .errors import DomainError
 
 _GAMMA = specfun.EULER_GAMMA
 _LN_PI = specfun.LN_PI
 PI = math.pi
 
 JUMP_POINTS = (0.0, 0.5, 1.0)
+# the jumps phi'(1-) - phi'(1+) and phi'(0+) - phi'(0-)
+JUMP_AT_ONE = 4.0 * PI
 JUMP_AT_ZERO = PI * (-4.0 + _GAMMA + 3.0 * math.log(2.0) + 0.5 * PI)
 
 
@@ -163,53 +165,20 @@ def field_E_onesided(point, side: str, mode: RhMode = RhMode.CONDITIONAL_RH) -> 
     return _field(point, side == "+", mode)
 
 
-def richardson(sample, h: float = 1e-5) -> float:
-    """Richardson step for a one-sided quantity sample(h) with O(h) error:
-    2*sample(h/2) - sample(h) kills the linear term."""
-    return 2.0 * sample(0.5 * h) - sample(h)
+def richardson(sample) -> float:
+    """Richardson step for a one-sided quantity sample(h) with O(h) error,
+    at h = 1e-5: 2*sample(h/2) - sample(h) kills the linear term."""
+    return 2.0 * sample(0.5e-5) - sample(1e-5)
 
 
-def _field_step(point: float, h: float) -> float:
-    """field_E at point + h minus field_E at point - h."""
-    if not (0.0 < h < 0.25):
-        raise DomainError(f"need 0 < h < 1/4, got {h!r}")
-    if point - h == point or point + h == point:  # a step onto the jump itself
-        raise DomainError(f"h = {h!r} rounds away at rho = {point:g}; need h > {math.ulp(point) / 2:.3g}")
-    return field_E(point + h) - field_E(point - h)
+def numeric_jump_at_one() -> float:
+    """field_E at 1 - 1e-7 minus at 1 + 1e-7; JUMP_AT_ONE to 1e-4."""
+    return field_E(1.0 - 1e-7) - field_E(1.0 + 1e-7)
 
 
-def _verified(closed: float, numeric_jump, tol: float) -> float:
-    """closed, once the Richardson-extrapolated numeric_jump is within tol."""
-    extrapolated = richardson(numeric_jump)
-    if abs(extrapolated - closed) > tol:
-        raise CrossCheckError(
-            f"one-sided field limits give {extrapolated!r}, expected {closed!r}"
-        )
-    return closed
-
-
-def numeric_jump_at_one(h: float = 1e-7) -> float:
-    """field_E just left of 1 minus just right of 1; tends to 4*pi as h -> 0."""
-    return -_field_step(1.0, h)
-
-
-def jump_at_one() -> float:
-    """The derivative jump phi'(1-) - phi'(1+) = 4*pi exactly.  Every call
-    re-verifies the closed value against a Richardson-extrapolated pair of
-    one-sided field differences."""
-    return _verified(4.0 * PI, numeric_jump_at_one, 1e-6)
-
-
-def numeric_jump_at_zero(h: float = 1e-7) -> float:
-    """field_E just right of 0 minus just left of 0."""
-    return _field_step(0.0, h)
-
-
-def jump_at_zero() -> float:
-    """The derivative jump at rho = 0, JUMP_AT_ZERO = pi*(-4 + gamma +
-    3*ln 2 + pi/2), about 0.714566.  Orientation is phi'(0+) - phi'(0-),
-    fixed by matching the numeric one-sided limits.  Verified on every call."""
-    return _verified(JUMP_AT_ZERO, numeric_jump_at_zero, 1e-4)
+def numeric_jump_at_zero() -> float:
+    """field_E at 1e-7 minus at -1e-7; JUMP_AT_ZERO to 1e-4."""
+    return field_E(1e-7) - field_E(-1e-7)
 
 
 def slope_at_half() -> float:

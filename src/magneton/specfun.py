@@ -386,6 +386,8 @@ def polygamma(m: int, x: float) -> float:
         raise DomainError(f"polygamma needs x > 0, got {x!r}")
     if m == 0:
         return digamma(x)
+    if m > 170:
+        raise OverflowError(f"polygamma needs m <= 170: m! overflows a double, got m = {m}")
     sign = 1.0 if m % 2 == 1 else -1.0
     return sign * math.factorial(m) * hurwitz_zeta(m + 1.0, float(x))
 

@@ -286,6 +286,8 @@ def upper_gamma_int(n: int, z: float) -> float:
     """Incomplete Gamma(n, z) for integer n >= 1, closed form."""
     if n < 1:
         raise DomainError("upper_gamma_int needs n >= 1")
+    if n > 171:
+        raise OverflowError(f"upper_gamma_int needs n <= 171: (n-1)! overflows a double, got n = {n}")
     s = 0.0
     t = 1.0
     for j in range(n):

@@ -434,7 +434,7 @@ def test_constants(capsys):
 
 
 # the real-kernel calls each closed command makes on its default grid
-_KERNEL_CALLS = {"figure phi": 500, "figure field": 624, "figure well": 100, "figure xi": 101, "constants": 35}
+_KERNEL_CALLS = {"figure phi": 500, "figure field": 624, "figure well": 100, "figure xi": 101, "constants": 31}
 
 
 @pytest.mark.parametrize("command", sorted(_KERNEL_CALLS))
@@ -551,13 +551,27 @@ def test_constants_reports_worst_failure(monkeypatch, capsys, over_one, over_zer
     # one with the larger discrepancy/tolerance ratio, wherever it is listed
     one = 4.0 * math.pi
     zero = math.pi * (-4.0 + GAMMA + 3.0 * math.log(2.0) + 0.5 * math.pi)
-    monkeypatch.setattr(magneton, "numeric_jump_at_one", lambda h=1e-7: one + 1e-4 * over_one)
-    monkeypatch.setattr(magneton, "numeric_jump_at_zero", lambda h=1e-7: zero + 1e-4 * over_zero)
-    monkeypatch.setattr(magneton, "jump_at_one", lambda: one)
+    monkeypatch.setattr(magneton, "numeric_jump_at_one", lambda: one + 1e-4 * over_one)
+    monkeypatch.setattr(magneton, "numeric_jump_at_zero", lambda: zero + 1e-4 * over_zero)
     code, out, err = run(["constants"], capsys)
     assert code == 4
     assert err.startswith(f"cross-check failure: {named}:")
     assert "name,analytic,numeric" in out
+
+
+def test_constants_prints_the_table_before_failing(monkeypatch, capsys):
+    # a field off by 1e-3 just left of 1 breaks the jump at 1 and the
+    # Volchkov combination; every row is still printed, then the worst named
+    field_E = magneton.field_E
+    monkeypatch.setattr(
+        magneton, "field_E", lambda rho, *a: field_E(rho, *a) + (1e-3 if 0.99 < rho < 1.0 else 0.0)
+    )
+    code, out, err = run(["constants"], capsys)
+    assert code == 4
+    assert len(out.splitlines()) == 15
+    header, body = parse_csv(out)
+    assert [r[0] for r in body][-1] == "xi_at_x1"
+    assert err == "cross-check failure: volchkov_delta: discrepancy 0.001 exceeds tolerance 1e-06\n"
 
 
 @pytest.mark.parametrize(

@@ -678,7 +678,7 @@ def test_quadrature_kinks_are_the_papers_jumps(t_max):
     assert abs(at_half - 2.0 * math.pi * zero_sum) <= 1e-8
     # the truncated kink approaches the paper's 2*pi*lambda_1 from below
     assert at_half < 2.0 * math.pi * magneton.lambda_one()
-    assert abs(kink(1.0) + magneton.jump_at_one()) <= 1e-7
+    assert abs(kink(1.0) + magneton.JUMP_AT_ONE) <= 1e-7
     assert abs(kink(0.0)) <= 1e-8
 
 

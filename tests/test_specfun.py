@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -290,6 +291,23 @@ def test_upper_gamma_int():
     expect = 2.0 * math.exp(-z) * (1.0 + z + z * z / 2.0)
     assert taylor.upper_gamma_int(3, z) == pytest.approx(expect, rel=1e-13)
     assert taylor.upper_gamma_int(1, z) == pytest.approx(math.exp(-z), rel=1e-13)
+
+
+def test_factorials_past_the_double_range_refuse_at_once():
+    # m! from m = 171 on and (n-1)! from n = 172 on exceed a double, so
+    # these calls could never return; they refuse before any work
+    for call, bound in ((lambda: specfun.polygamma(10**9, 1.0), "m <= 170"),
+                        (lambda: taylor.upper_gamma_int(10**9, 2.0), "n <= 171")):
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowError, match=bound):
+            call()
+        assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(OverflowError, match="m <= 170"):
+        specfun.polygamma(171, 1.0)
+    with pytest.raises(OverflowError, match="n <= 171"):
+        taylor.upper_gamma_int(172, 2.0)
+    assert specfun.polygamma(170, 1.0) == -7.257415615307999e+306
+    assert taylor.upper_gamma_int(171, 2.0) == 7.257415615307998e+306
 
 
 def test_prime_tail_estimate_shrinks():
