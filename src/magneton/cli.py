@@ -25,7 +25,6 @@ import time
 from . import __version__, diagnostics, magneton, specfun
 from .errors import ConvergenceError, CrossCheckError, DomainError, MagnetonError
 
-_GAMMA = specfun.EULER_GAMMA
 _JUMP_OFFSET = 1e-6
 # Most rows one rho list or figure grid may hold; counted before anything
 # is allocated, so a tiny step is refused instead of exhausting memory.
@@ -266,19 +265,13 @@ def cmd_constants(args) -> int:
         ("jump_at_zero", magneton.JUMP_AT_ZERO, magneton.numeric_jump_at_zero(), 1e-4, "strip"),
         (
             "lambda_one",
-            magneton.lambda_one(),
-            (magneton.field_E_onesided(0.5, "+") - magneton.slope_at_half()) / math.pi,
+            magneton.LAMBDA_ONE,
+            (magneton.field_E_onesided(0.5, "+") - magneton.SLOPE_AT_HALF) / math.pi,
             1e-10,
             "strip",
         ),
-        (
-            "volchkov_delta",
-            math.pi * (3.0 - _GAMMA),
-            magneton.richardson(volchkov_fd),
-            1e-6,
-            "strip",
-        ),
-        ("slope_at_half", magneton.slope_at_half(), magneton.richardson(slope_fd), 1e-6, "strip"),
+        ("volchkov_delta", magneton.VOLCHKOV_DELTA, magneton.richardson(volchkov_fd), 1e-6, "strip"),
+        ("slope_at_half", magneton.SLOPE_AT_HALF, magneton.richardson(slope_fd), 1e-6, "strip"),
         (
             "field_half_plus",
             magneton.field_E_onesided(0.5, "+"),
@@ -323,7 +316,7 @@ def cmd_taylor(args) -> int:
         lines.append(f"{n},{_fmt(cn)},{_fmt(bn)}")
     lines.append("quantity,prime_route,reference,note")
     pr = taylor.rearranged_at_one(coeffs.c, args.order)
-    lam = magneton.lambda_one()
+    lam = magneton.LAMBDA_ONE
     lines.append(
         f"value_at_one,{_fmt(pr.value)},{_fmt(reference.value)},"
         "near-total cancellation; trust the reference column"

@@ -4,8 +4,8 @@ The well S(x) of `magneton.well_S` has two real crossings, x1 on
 (1.5, 1.7) and its mirror x2 = 2 - x1.  For x > 3/2, S is pi/2 times the
 log of the paper's well equation zeta(x)^2 Gamma(x/2)/Gamma((x-1)/2)
 pi^(1-x) = 1, so x1 is that equation's root.  A deterministic bracketed
-root finder locates x1 on S itself, and |S(x1)| is re-checked on every
-call.
+root finder locates x1 on S itself; the `constants` table checks it
+against the published roots on every run.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ def find_root(f, a: float, b: float) -> float:
 
 def well_zeros() -> tuple[float, float]:
     """The two crossings of the symmetric well: the root x1 of S on
-    (1.5, 1.7) and its mirror x2 = 2 - x1.  |S(x1)| is re-verified below
-    1e-10 on every call."""
+    (1.5, 1.7) and its mirror x2 = 2 - x1."""
     x1 = find_root(magneton.well_S, 1.5, 1.7)
-    residual = magneton.well_S(x1)
-    if abs(residual) > 1e-10:
-        raise ConvergenceError(f"root residual {residual:.3g} above 1e-10")
     return x1, 2.0 - x1

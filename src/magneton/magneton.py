@@ -32,6 +32,12 @@ JUMP_POINTS = (0.0, 0.5, 1.0)
 # the jumps phi'(1-) - phi'(1+) and phi'(0+) - phi'(0-)
 JUMP_AT_ONE = 4.0 * PI
 JUMP_AT_ZERO = PI * (-4.0 + _GAMMA + 3.0 * math.log(2.0) + 0.5 * PI)
+# the first Li/Keiper coefficient; 2*pi*LAMBDA_ONE is the jump at 1/2
+LAMBDA_ONE = 1.0 + 0.5 * _GAMMA - 0.5 * math.log(4.0 * PI)
+# the mean of phi'(1/2-) and phi'(1/2+), half the slope of f at 1/2
+SLOPE_AT_HALF = 0.5 * PI * (_LN_PI + _GAMMA + 2.0 * math.log(2.0))
+# Volchkov's phi'(1-) - phi'(1/2+) - phi'(1+)
+VOLCHKOV_DELTA = PI * (3.0 - _GAMMA)
 
 
 class RhMode(Enum):
@@ -96,7 +102,9 @@ def _phi(rho: float, mode: RhMode, reg) -> float:
 def symmetry_defect(rho) -> float:
     """f(rho) = phi(rho) - phi(1-rho), in closed form:
     pi*(ln(pi)*(rho-1/2) + lnGamma(1/4+|rho-1|/2) - lnGamma(1/4+|rho|/2)).
-    Holds unconditionally; odd about rho = 1/2."""
+    Holds unconditionally; odd about rho = 1/2.  It is the line average's
+    antisymmetric part on [0, 1] only: left of 0 it is the continuation's,
+    which exceeds the average by pi*ln(4/3) at rho = -1."""
     rho = _check_finite(rho)
     return PI * (
         _LN_PI * (rho - 0.5)
@@ -179,31 +187,6 @@ def numeric_jump_at_one() -> float:
 def numeric_jump_at_zero() -> float:
     """field_E at 1e-7 minus at -1e-7; JUMP_AT_ZERO to 1e-4."""
     return field_E(1e-7) - field_E(-1e-7)
-
-
-def slope_at_half() -> float:
-    """Common part of the derivative at 1/2: the mean of the one-sided
-    limits, pi*(ln(pi) + gamma + 2*ln 2)/2, about 4.882411.  Equals half
-    the slope of the symmetry defect f at 1/2."""
-    return 0.5 * PI * (_LN_PI + _GAMMA + 2.0 * math.log(2.0))
-
-
-def lambda_one() -> float:
-    """First Li/Keiper coefficient lambda_1 = 1 + gamma/2 - ln(4*pi)/2.
-    2*pi*lambda_1 is the full asymmetric jump of phi' at 1/2."""
-    return 1.0 + 0.5 * _GAMMA - 0.5 * math.log(4.0 * PI)
-
-
-def volchkov_delta(mode: RhMode = RhMode.CONDITIONAL_RH) -> float:
-    """delta = phi'(1-) - phi'(1/2+) - phi'(1+), assembled from the actual
-    one-sided limits; equals pi*(3 - gamma) analytically."""
-    if mode is not RhMode.CONDITIONAL_RH:
-        raise DomainError("the aggregate uses strip limits; conditional mode only")
-    return (
-        field_E_onesided(1.0, "-")
-        - field_E_onesided(0.5, "+")
-        - field_E_onesided(1.0, "+")
-    )
 
 
 def well_S(x, mode: RhMode = RhMode.CONDITIONAL_RH) -> float:

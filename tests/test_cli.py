@@ -434,7 +434,7 @@ def test_constants(capsys):
 
 
 # the real-kernel calls each closed command makes on its default grid
-_KERNEL_CALLS = {"figure phi": 500, "figure field": 624, "figure well": 100, "figure xi": 101, "constants": 31}
+_KERNEL_CALLS = {"figure phi": 500, "figure field": 624, "figure well": 100, "figure xi": 101, "constants": 30}
 
 
 @pytest.mark.parametrize("command", sorted(_KERNEL_CALLS))
@@ -572,6 +572,19 @@ def test_constants_prints_the_table_before_failing(monkeypatch, capsys):
     _, body = parse_csv(out)
     assert body[-1][0] == "xi_at_x1"
     assert err == "cross-check failure: volchkov_delta: discrepancy 0.001 exceeds tolerance 1e-06\n"
+
+
+def test_constants_prints_the_table_when_the_root_finder_misses(monkeypatch, capsys):
+    # a well that changes sign on (1.5, 1.7) without a root there: the
+    # bracket closes on the step at 1.6, which the x1 row reports against
+    # the published root after the whole table is printed
+    monkeypatch.setattr(magneton, "well_S", lambda x, *a: 1.0 if x > 1.6 else -1.0)
+    code, out, err = run(["constants"], capsys)
+    assert code == 4
+    assert len(out.splitlines()) == 15
+    _, body = parse_csv(out)
+    assert body[-1][0] == "xi_at_x1"
+    assert err == "cross-check failure: x1: discrepancy -0.0102 exceeds tolerance 1e-07\n"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from magneton import magneton as mg
 from magneton import quad, specfun
 from magneton.errors import DomainError
+from test_acceptance import _chi_tail
 
 GAMMA = specfun.EULER_GAMMA
 
@@ -175,22 +176,26 @@ def test_jump_at_zero():
 
 def test_slope_and_lambda_relations():
     mean = 0.5 * (mg.field_E_onesided(0.5, "+") + mg.field_E_onesided(0.5, "-"))
-    assert abs(mean - mg.slope_at_half()) < 1e-12
+    assert abs(mean - mg.SLOPE_AT_HALF) < 1e-12
     h = 1e-6
     fd = (mg.symmetry_defect(0.5 + h) - mg.symmetry_defect(0.5 - h)) / (2.0 * h)
-    assert abs(0.5 * fd - mg.slope_at_half()) < 1e-6
+    assert abs(0.5 * fd - mg.SLOPE_AT_HALF) < 1e-6
     half_jump = mg.field_E_onesided(0.5, "+") - mg.field_E_onesided(0.5, "-")
-    assert abs(mg.lambda_one() - half_jump / (2.0 * math.pi)) < 1e-10
-    assert mg.lambda_one() > 0.0
+    assert abs(mg.LAMBDA_ONE - half_jump / (2.0 * math.pi)) < 1e-10
+    assert mg.LAMBDA_ONE > 0.0
 
 
 def test_volchkov_delta():
-    delta = mg.volchkov_delta()
-    assert abs(delta - math.pi * (3.0 - GAMMA)) < 1e-12
+    # assembled from the one-sided limits, the combination is the closed
+    # constant bit for bit
+    delta = (
+        mg.field_E_onesided(1.0, "-")
+        - mg.field_E_onesided(0.5, "+")
+        - mg.field_E_onesided(1.0, "+")
+    )
+    assert delta == mg.VOLCHKOV_DELTA == math.pi * (3.0 - GAMMA)
     # decomposition: full jump at 1 minus the upper limit at 1/2
     assert abs(delta - (4.0 * math.pi - math.pi * (1.0 + GAMMA))) < 1e-12
-    with pytest.raises(DomainError, match="strip"):
-        mg.volchkov_delta(mg.RhMode.OUTSIDE_STRIP_ONLY)
 
 
 def test_mode_gating():
@@ -294,18 +299,17 @@ def _defect_by_integration(rho: float) -> float:
         [[_ln_abs_chi(rho, x) / (0.25 + x * x) for x in t.tolist()]]
     )
     (res,) = quad._integrate(f, [0.0, 50.0], cfg)
-    tail = (0.5 - rho) * (math.log(50.0 / (2.0 * math.pi)) + 1.0) / 50.0
-    return res.value + tail
+    return res.value + _chi_tail(rho, 50.0)
 
 
 def test_defect_closed_form_matches_integral_on_strip():
     # unconditional dual route: the averaged reflection factor lands on
     # the closed defect inside the strip...
     for rho in (0.3, 0.7):
-        assert abs(_defect_by_integration(rho) - mg.symmetry_defect(rho)) < 5e-6
+        assert abs(_defect_by_integration(rho) - mg.symmetry_defect(rho)) < 1e-13
     # ...and departs from it by exactly -pi*ln(4/3) at rho = -1
     off = _defect_by_integration(-1.0) - mg.symmetry_defect(-1.0)
-    assert abs(off + math.pi * math.log(4.0 / 3.0)) < 1e-4
+    assert abs(off + math.pi * math.log(4.0 / 3.0)) < 1e-13
 
 
 def test_jump_points_constant():

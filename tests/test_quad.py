@@ -677,7 +677,7 @@ def test_quadrature_kinks_are_the_papers_jumps(t_max):
     at_half = kink(0.5)
     assert abs(at_half - 2.0 * math.pi * zero_sum) <= 1e-8
     # the truncated kink approaches the paper's 2*pi*lambda_1 from below
-    assert at_half < 2.0 * math.pi * magneton.lambda_one()
+    assert at_half < 2.0 * math.pi * magneton.LAMBDA_ONE
     assert abs(kink(1.0) + magneton.JUMP_AT_ONE) <= 1e-7
     assert abs(kink(0.0)) <= 1e-8
 

@@ -54,14 +54,14 @@ def test_readme_library_block():
         if number and code.strip() in values:
             assert repr(values[code.strip()]) == number[1], line
             stated += 1
-    assert stated == 6
+    assert stated == 7
     closed = values["magneton.phi_closed(2.0)"]
     assert f"{abs(values['quad.phi_numeric(2.0).value'] - closed):.0e}" == "5e-05"
     assert values["quad.phi_numeric_lines([0.5, 2.0])"] == [quad.phi_numeric(0.5), quad.phi_numeric(2.0)]
     assert values["magneton.JUMP_AT_ONE"] == 4.0 * math.pi
     assert values["magneton.well_S(1.3)"] == magneton.well_S(0.7)
     slope = values["taylor.rearranged_at_one(coeffs, 13).slope"]
-    assert abs(slope - values["magneton.lambda_one()"]) <= 1e-16
+    assert abs(slope - values["magneton.LAMBDA_ONE"]) <= 1e-16
 
 
 def _bound(fn: ast.AST) -> set[str]:

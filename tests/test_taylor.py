@@ -289,7 +289,7 @@ def test_rearranged_exact_route_pins():
     r13 = taylor.rearranged_at_one_exact(13)
     assert r13.value == pytest.approx(-3.852448535326574e-22, rel=1e-6, abs=1e-23)
     assert abs(r13.value) <= 1e-18  # the deep-cancellation headline
-    assert abs(r13.slope - mg.lambda_one()) <= 1e-12
+    assert abs(r13.slope - mg.LAMBDA_ONE) <= 1e-12
     assert r13.curvature == pytest.approx(0.0230771586479023, rel=1e-11)
 
 
@@ -402,7 +402,7 @@ def test_slope_estimates_lambda_one(prime13):
     # from primes alone: positive at every truncation order, within 8e-4
     # of the closed value already at order 2, and pinned at the prime
     # truncation floor (~6e-4) at order 13
-    lam = mg.lambda_one()
+    lam = mg.LAMBDA_ONE
     for k in range(1, 14):
         assert taylor.rearranged_at_one(prime13.c, k).slope > 0.0
     assert abs(taylor.rearranged_at_one(prime13.c, 2).slope - lam) < 8e-4
